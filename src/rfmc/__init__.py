@@ -9,6 +9,7 @@ from .quant import (
     quantize_frame,
     quantize_network,
     quantized_forward,
+    quantized_logits,
 )
 from .sigsynth import (
     FRAME_LEN,
@@ -49,6 +50,7 @@ __all__ = [
     "quantize_frame",
     "quantize_network",
     "quantized_forward",
+    "quantized_logits",
     "save_dataset",
     "split",
     "train",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -48,10 +49,6 @@ def snr_grid_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"malformed SNR range {text!r}: expected 'start:end:step' in dB"
         ) from None
-
-
-def _load_model_or_fail(path: str):
-    return fileio.load_model(path)
 
 
 def _pick_path(args_path: str | None, model) -> str:
@@ -132,7 +129,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.model is None:
         raise UsageError("--model is required unless --self-test")
-    model = _load_model_or_fail(args.model)
+    model = fileio.load_model(args.model)
 
     if args.compare is not None:
         if not isinstance(model, NetworkParams):
@@ -165,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    model = _load_model_or_fail(args.model)
+    model = fileio.load_model(args.model)
     path = _pick_path(args.path, model)
     rng_frames = bench.gaussian_frames(args.frames)
     if path == "quantized":
@@ -210,16 +207,17 @@ def _classify_dataset(model, path: str, dataset: data.Dataset) -> None:
 
 def _classify_raw(model, path: str, blob: bytes) -> None:
     n_complete = len(blob) // FRAME_BYTES
-    classify_raw, _ = make_raw_classifier(model)
-    for i in range(n_complete):
-        frame_q = np.frombuffer(blob, "<i2", 1800, i * FRAME_BYTES)
-        if path == "float":
+    frame_len = FRAME_BYTES // 2
+    frames_q = np.frombuffer(blob, "<i2", n_complete * frame_len).reshape(n_complete, frame_len)
+    if path == "float":
+        for i, frame_q in enumerate(frames_q):
             _, probs = nn.forward(model, quant.dequantize_array(frame_q, RAW_FLOAT_FORMAT))
             label = int(np.argmax(probs))
             probs_text = " ".join(f"{p:.6f}" for p in probs)
             print(f"{i}\t{label}\t{label_name(label)}\t{probs_text}")
-        else:
-            label = classify_raw(frame_q)
+    else:
+        classify_raw, _ = make_raw_classifier(model)
+        for i, label in enumerate(classify_raw(frames_q).tolist()):
             print(f"{i}\t{label}\t{label_name(label)}")
     remainder = len(blob) - n_complete * FRAME_BYTES
     if remainder:
@@ -233,28 +231,25 @@ def _classify_raw(model, path: str, blob: bytes) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     if (args.dataset is None) == (args.raw is None):
         raise UsageError("give exactly one of --dataset or --raw")
-    model = _load_model_or_fail(args.model)
+    model = fileio.load_model(args.model)
     path = _pick_path(args.path, model)
     if args.dataset is not None:
         _classify_dataset(model, path, data.load_dataset(args.dataset))
     else:
-        blob = sys.stdin.buffer.read() if args.raw == "-" else open(args.raw, "rb").read()
+        blob = sys.stdin.buffer.read() if args.raw == "-" else Path(args.raw).read_bytes()
         _classify_raw(model, path, blob)
     return EXIT_OK
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    model = _load_model_or_fail(args.model)
+    model = fileio.load_model(args.model)
     server = StreamServer(model, host=args.host, port=args.port)
     server.start()
     host, port = server.address
     kind = "quantized" if isinstance(model, QuantizedNetwork) else "float"
     print(f"serving {kind} model on {host}:{port} "
           f"({FRAME_BYTES}-byte int16 frames in, 2-byte replies out)")
-    try:
-        server.serve_forever()
-    finally:
-        server.stop()
+    server.serve_forever()
     return EXIT_OK
 
 

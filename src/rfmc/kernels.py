@@ -85,10 +85,13 @@ def layer_forward(
     """One quantized layer: accumulators, or int16 activations if ``requantize``.
 
     ``weights`` must come from ``prepare_weights``; ``x`` holds int16
-    activations in any integer or float dtype. The result is float64 and
-    holds exact integers, so it feeds the next layer without conversion.
+    activations in any integer or float dtype, one frame ``(in,)`` or a
+    batch ``(n, in)``. Every output is one row's dot product with one
+    frame, so the static bound keeps it exact at any batch size. The
+    result is float64, ``(out,)`` or ``(n, out)``, and holds exact
+    integers, so it feeds the next layer without conversion.
     """
-    acc = weights @ np.asarray(x, dtype=np.float64)
+    acc = np.asarray(x, dtype=np.float64) @ weights.T
     acc += bias_acc
     if requantize:
         # trunc(a + sign(a)/2) is round half away from zero; ReLU commutes

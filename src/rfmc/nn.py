@@ -131,7 +131,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward_batch(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logits, probs) for a (n, in_dim) batch."""
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -146,7 +146,7 @@ def forward(params: NetworkParams, frame: np.ndarray) -> tuple[np.ndarray, np.nd
     in_dim = params.weights[0].shape[1]
     if x.shape != (in_dim,):
         raise ValueError(f"frame must have shape ({in_dim},), got {x.shape}")
-    logits, probs = _forward_batch(params, x[None, :])
+    logits, probs = forward_batch(params, x[None, :])
     return logits[0], probs[0]
 
 
@@ -307,5 +307,5 @@ def train(
 def accuracy(params: NetworkParams, frames: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of frames whose argmax class matches the label."""
     x = np.asarray(frames, dtype=np.float64)
-    logits, _ = _forward_batch(params, x)
+    logits, _ = forward_batch(params, x)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))

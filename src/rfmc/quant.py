@@ -13,13 +13,12 @@ cannot change an argmax).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .kernels import ACC_LIMIT, INT16_MAX, INT16_MIN, round_shift
+from .kernels import INT16_MAX, INT16_MIN
 from .nn import NetworkParams, relu
 
 INT32_MIN = -(1 << 31)
@@ -212,95 +211,51 @@ def quantize_frame(frame: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     return quantize_array(frame, fmt)
 
 
-def _layer_sequential(weights, bias_acc, x, shift, apply_relu, requantize) -> np.ndarray:
-    """Reference path: neurons one by one, ascending input index per neuron."""
-    out = np.empty(weights.shape[0], dtype=np.int64)
-    x64 = x.astype(np.int64)
-    for j in range(weights.shape[0]):
-        acc = int(weights[j].astype(np.int64) @ x64) + int(bias_acc[j])
-        if apply_relu and acc < 0:
-            acc = 0
-        if requantize:
-            acc = int(round_shift(np.array([acc]), shift)[0])
-            acc = max(INT16_MIN, min(INT16_MAX, acc))
-        out[j] = acc
-    return out
+def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray:
+    """Integer forward pass of a batch: (n, n_in) int16 -> (n, n_out) int64 logits.
 
-
-def _layer_parallel(weights, bias_acc, x, shift, apply_relu, requantize, max_workers=4) -> np.ndarray:
-    """Same arithmetic with neurons fanned out across threads."""
-    x64 = x.astype(np.int64)
-
-    def neuron(j: int) -> int:
-        acc = int(weights[j].astype(np.int64) @ x64) + int(bias_acc[j])
-        if apply_relu and acc < 0:
-            acc = 0
-        if requantize:
-            acc = int(round_shift(np.array([acc]), shift)[0])
-            acc = max(INT16_MIN, min(INT16_MAX, acc))
-        return acc
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(neuron, range(weights.shape[0])))
-    return np.array(results, dtype=np.int64)
-
-
-_REFERENCE_MODES = {"sequential": _layer_sequential, "parallel": _layer_parallel}
-
-
-def quantized_forward(
-    qnet: QuantizedNetwork,
-    frame_q: np.ndarray,
-    mode: str = "vector",
-    audit: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Integer forward pass: (int logits, label).
-
-    ``frame_q`` must already be quantized under ``qnet.input_format``.
-    ``mode`` selects the engine: "vector" runs each layer through
-    ``kernels.layer_forward``, a float64 BLAS matmul on the network's
-    pre-converted ``weights_f64``; "sequential" and "parallel" are
-    per-neuron int64 reference paths. All produce identical integers:
+    ``frames_q`` must already be quantized under ``qnet.input_format``.
+    Each layer runs through ``kernels.layer_forward``, a float64 BLAS
+    matmul on the network's pre-converted ``weights_f64``. The logits are
+    the exact integers of the modelled datapath, whatever the batch size:
     construction of ``qnet`` proved every layer's accumulator bound
     ``max_j(sum_k |W_jk| * 32768 + |b_j|)`` below ``ACC_LIMIT`` (2**47),
     and float64 holds every integer below 2**53 exactly, so no partial
-    sum is ever rounded. ``audit=True`` additionally checks every
-    accumulator against the 48-bit limit.
+    sum is ever rounded.
     """
-    frame_q = np.ascontiguousarray(frame_q)
-    if frame_q.dtype != np.int16:
-        raise ValueError("frame_q must be int16 (quantized under the input format)")
+    frames_q = np.asarray(frames_q)
+    if frames_q.dtype != np.int16:
+        raise ValueError("frames must be int16 (quantized under the input format)")
     n_in = qnet.weights[0].shape[1]
-    if frame_q.shape != (n_in,):
-        raise ValueError(f"frame_q must have shape ({n_in},), got {frame_q.shape}")
-    if mode != "vector" and mode not in _REFERENCE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    if frames_q.ndim != 2 or frames_q.shape[1] != n_in:
+        raise ValueError(f"frames must have shape (n, {n_in}), got {frames_q.shape}")
 
-    x = frame_q
+    x = frames_q
     for i in range(qnet.n_layers):
         last = i == qnet.n_layers - 1
         shift = 0 if last else qnet.requant_shift(i)
-        if audit:
-            acc = qnet.weights[i].astype(np.int64) @ x.astype(np.int64) + qnet.biases[i]
-            peak = int(np.max(np.abs(acc)))
-            if peak >= ACC_LIMIT:
-                raise OverflowError(
-                    f"layer {i} accumulator |{peak}| exceeds the 48-bit limit"
-                )
-        if mode == "vector":
-            x = kernels.layer_forward(
-                qnet.weights_f64[i], qnet.biases[i], x, shift, not last, not last
-            )
-        else:
-            x = _REFERENCE_MODES[mode](
-                qnet.weights[i], qnet.biases[i], x, shift, not last, not last
-            )
-    logits = x.astype(np.int64)
+        x = kernels.layer_forward(
+            qnet.weights_f64[i], qnet.biases[i], x, shift, not last, not last
+        )
+    return x.astype(np.int64)
+
+
+def quantized_forward(qnet: QuantizedNetwork, frame_q: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer forward pass of one frame: (int logits, label).
+
+    The one-row case of ``quantized_logits``; ``frame_q`` must be int16
+    of shape ``(n_in,)``.
+    """
+    frame_q = np.asarray(frame_q)
+    n_in = qnet.weights[0].shape[1]
+    if frame_q.shape != (n_in,):
+        raise ValueError(f"frame_q must have shape ({n_in},), got {frame_q.shape}")
+    logits = quantized_logits(qnet, frame_q[np.newaxis])[0]
     return logits, int(np.argmax(logits))
 
 
-def classify_quantized(qnet: QuantizedNetwork, frame: np.ndarray, mode: str = "vector") -> int:
+def classify_quantized(qnet: QuantizedNetwork, frame: np.ndarray) -> int:
     """Quantize a float frame under the input format and classify it."""
     frame_q = quantize_frame(frame, qnet.input_format)
-    _, label = quantized_forward(qnet, frame_q, mode=mode)
+    _, label = quantized_forward(qnet, frame_q)
     return label

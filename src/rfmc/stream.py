@@ -2,9 +2,19 @@
 
 Wire format, per frame: 1800 little-endian signed 16-bit integers
 (interleaved I,Q) = 3600 bytes. Each complete frame is answered with two
-bytes: label id, then path id (0=float, 1=quantized). Partial frames are
-buffered until complete; a connection that closes mid-frame is logged
-and dropped without disturbing other connections.
+bytes: label id, then path id (0=float, 1=quantized), in the order the
+frames arrived on that connection. Partial frames are buffered until
+complete; a connection that closes mid-frame is logged and dropped
+without disturbing other connections.
+
+One thread runs one ``selectors`` loop over the listener and every
+connection. After each ``recv`` it classifies every complete frame in
+that connection's buffer in one batched call and queues the batch's
+replies as one write. Sockets are non-blocking with ``TCP_NODELAY`` set,
+so a reply leaves as soon as it is written. Replies a client has not
+read wait in a per-connection buffer; once that holds
+``MAX_PENDING_REPLY_BYTES`` the connection is not read until it drains,
+so a client that never reads cannot stall the loop or grow the buffer.
 
 Quantized models interpret the integers under their own input format;
 float models use the fixed Q2.13 convention (see RAW_FLOAT_FORMAT).
@@ -13,6 +23,7 @@ float models use the fixed Q2.13 convention (see RAW_FLOAT_FORMAT).
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
 import threading
 
@@ -31,36 +42,53 @@ PATH_QUANTIZED = 1
 # Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
 RAW_FLOAT_FORMAT = FixedPointFormat(13)
 
+RECV_BYTES = 65536
+# Unsent replies past which a connection is no longer read.
+MAX_PENDING_REPLY_BYTES = 65536
+# How often the loop checks for stop() while idle.
+POLL_S = 0.05
+
 
 def make_raw_classifier(model) -> tuple:
-    """(int16-frame -> label) callable plus the reply path byte."""
+    """(int16 frames (n, 1800) -> labels (n,)) callable plus the reply path byte."""
     if isinstance(model, QuantizedNetwork):
 
-        def classify_raw(frame_q: np.ndarray) -> int:
-            return quant.quantized_forward(model, frame_q)[1]
+        def classify_raw(frames_q: np.ndarray) -> np.ndarray:
+            return np.argmax(quant.quantized_logits(model, frames_q), axis=1)
 
         return classify_raw, PATH_QUANTIZED
 
     params = model
 
-    def classify_raw(frame_q: np.ndarray) -> int:
-        return nn.classify(params, quant.dequantize_array(frame_q, RAW_FLOAT_FORMAT))
+    def classify_raw(frames_q: np.ndarray) -> np.ndarray:
+        logits, _ = nn.forward_batch(params, quant.dequantize_array(frames_q, RAW_FLOAT_FORMAT))
+        return np.argmax(logits, axis=1)
 
     return classify_raw, PATH_FLOAT
 
 
+class _Connection:
+    """Per-connection buffers."""
+
+    __slots__ = ("addr", "inbox", "outbox", "eof")
+
+    def __init__(self, addr) -> None:
+        self.addr = addr
+        self.inbox = bytearray()   # bytes of the frame not yet complete
+        self.outbox = bytearray()  # replies the socket has not taken yet
+        self.eof = False           # the client finished sending
+
+
 class StreamServer:
-    """Threaded TCP server; one FIFO classification loop per connection."""
+    """Single-threaded TCP server: one selector loop, one batch per recv."""
 
     def __init__(self, model, host: str = "127.0.0.1", port: int = 0):
         self._classify, self.path_byte = make_raw_classifier(model)
         self._host = host
         self._port = port
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
-        self._conns: set[socket.socket] = set()
-        self._lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -69,62 +97,97 @@ class StreamServer:
 
     def start(self) -> None:
         self._listener = socket.create_server((self._host, self._port))
-        self._listener.settimeout(0.2)
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._listener.setblocking(False)
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
         logger.info("listening on %s:%d", *self.address)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+    def _loop(self) -> None:
+        """Owns the listener and every connection; closes them all on exit."""
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._listener, selectors.EVENT_READ)
             try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._lock:
-                self._conns.add(conn)
-            threading.Thread(target=self._serve_connection, args=(conn, addr), daemon=True).start()
+                while not self._stopping.is_set():
+                    for key, events in sel.select(POLL_S):
+                        if key.data is None:
+                            self._accept(sel)
+                        else:
+                            self._service(sel, key.fileobj, key.data, events)
+            finally:
+                for key in list(sel.get_map().values()):
+                    key.fileobj.close()
 
-    def _serve_connection(self, conn: socket.socket, addr) -> None:
-        buf = bytearray()
+    def _accept(self, sel: selectors.BaseSelector) -> None:
         try:
-            with conn:
-                while True:
-                    data = conn.recv(65536)
-                    if not data:
-                        if buf:
-                            logger.warning(
-                                "%s closed mid-frame: %d residual bytes dropped", addr, len(buf)
-                            )
-                        return
-                    buf += data
-                    while len(buf) >= FRAME_BYTES:
-                        frame = np.frombuffer(bytes(buf[:FRAME_BYTES]), dtype="<i2")
-                        del buf[:FRAME_BYTES]
-                        label = self._classify(frame)
-                        conn.sendall(bytes((label, self.path_byte)))
+            conn, addr = self._listener.accept()
+        except BlockingIOError:
+            return
         except OSError as exc:
-            logger.warning("%s dropped: %s", addr, exc)
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
+            logger.warning("accept failed: %s", exc)
+            return
+        conn.setblocking(False)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sel.register(conn, selectors.EVENT_READ, _Connection(addr))
+
+    def _service(self, sel, conn: socket.socket, state: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_READ:
+                self._receive(conn, state)
+            if state.outbox:
+                del state.outbox[: conn.send(state.outbox)]
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            logger.warning("%s dropped: %s", state.addr, exc)
+            self._close(sel, conn)
+            return
+        if state.eof and not state.outbox:
+            self._close(sel, conn)
+            return
+        wanted = (
+            selectors.EVENT_READ
+            if not state.eof and len(state.outbox) < MAX_PENDING_REPLY_BYTES
+            else 0
+        ) | (selectors.EVENT_WRITE if state.outbox else 0)
+        if wanted != sel.get_key(conn).events:
+            sel.modify(conn, wanted, state)
+
+    def _receive(self, conn: socket.socket, state: _Connection) -> None:
+        """One recv; classify every complete frame it completes as one batch."""
+        data = conn.recv(RECV_BYTES)
+        if not data:
+            state.eof = True
+            if state.inbox:
+                logger.warning(
+                    "%s closed mid-frame: %d residual bytes dropped",
+                    state.addr, len(state.inbox),
+                )
+            return
+        state.inbox += data
+        n_frames = len(state.inbox) // FRAME_BYTES
+        if not n_frames:
+            return
+        complete = state.inbox[: n_frames * FRAME_BYTES]
+        del state.inbox[: n_frames * FRAME_BYTES]
+        frames = np.frombuffer(complete, "<i2").reshape(n_frames, FRAME_BYTES // 2)
+        replies = np.empty((n_frames, 2), np.uint8)
+        replies[:, 0] = self._classify(frames)
+        replies[:, 1] = self.path_byte
+        state.outbox += replies.tobytes()
+
+    @staticmethod
+    def _close(sel: selectors.BaseSelector, conn: socket.socket) -> None:
+        sel.unregister(conn)
+        conn.close()
 
     def stop(self) -> None:
+        """Close the listener and every connection, and join the loop thread."""
         self._stopping.set()
-        if self._listener is not None:
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        with self._lock:
-            for conn in list(self._conns):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        if self._thread is not None:
+            self._thread.join()
 
     def serve_forever(self) -> None:
-        self.start()
+        """Block until interrupted or stopped, then stop; call after ``start``."""
         try:
             while not self._stopping.wait(0.5):
                 pass

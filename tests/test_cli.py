@@ -3,13 +3,17 @@
 import hashlib
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from rfmc import cli, data, fileio, nn, quant
+from rfmc import cli, data, fileio, nn, quant, stream
 from rfmc.seeding import split_seed
-from rfmc.stream import FRAME_BYTES, PATH_QUANTIZED, StreamServer
+from rfmc.sigsynth import label_name
+from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, RAW_FLOAT_FORMAT, StreamServer
+
+SOCKET_TIMEOUT_S = 10.0
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +184,19 @@ class TestClassify:
         assert len(stdout.strip().splitlines()) == 3
         assert f"byte offset {3 * FRAME_BYTES}" in err
 
+    def test_raw_labels_match_single_frame_passes(self, workspace, tmp_path, capsys):
+        raw = self.make_raw_file(workspace, tmp_path, 5, trailing=7)
+        code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
+                                  "--raw", str(raw))
+        assert code == 0
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames_q = np.frombuffer(raw.read_bytes(), "<i2", 5 * 1800).reshape(5, 1800)
+        expected = [
+            f"{i}\t{label}\t{label_name(label)}"
+            for i, label in enumerate(quant.quantized_forward(qnet, f)[1] for f in frames_q)
+        ]
+        assert stdout.splitlines() == expected
+
     def test_dataset_labels_match_eval_path(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                   "--dataset", str(workspace["ds"]))
@@ -211,7 +228,7 @@ class TestClassify:
 class TestServe:
     def send_frames(self, address, frames_blob, n_replies, chunk=None):
         replies = b""
-        with socket.create_connection(address) as sock:
+        with socket.create_connection(address, timeout=SOCKET_TIMEOUT_S) as sock:
             if chunk is None:
                 sock.sendall(frames_blob)
             else:
@@ -303,6 +320,177 @@ class TestServe:
             assert len(replies) == 2
         finally:
             server.stop()
+
+    def random_frames(self, qnet, n, seed):
+        rng = np.random.default_rng(seed)
+        return [quant.quantize_frame(rng.standard_normal(1800), qnet.input_format)
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("chunk", [None, 1001], ids=["one_sendall", "odd_chunks"])
+    def test_forty_frames_in_order(self, workspace, chunk):
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 40, seed=5)
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            blob = b"".join(f.astype("<i2").tobytes() for f in frames)
+            replies = self.send_frames(server.address, blob, 40, chunk=chunk)
+        finally:
+            server.stop()
+        assert len(replies) == 80
+        assert list(replies[0::2]) == [quant.quantized_forward(qnet, f)[1] for f in frames]
+        assert set(replies[1::2]) == {PATH_QUANTIZED}
+
+    def test_client_that_never_reads_does_not_stall_others(self, workspace):
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 40, seed=6)
+        blob = b"".join(f.astype("<i2").tobytes() for f in frames)
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as silent:
+                for _ in range(10):
+                    silent.sendall(blob)  # 400 frames whose replies nobody reads
+                replies = self.send_frames(server.address, blob, 40)
+        finally:
+            server.stop()
+        assert list(replies[0::2]) == [quant.quantized_forward(qnet, f)[1] for f in frames]
+
+    def test_unread_replies_pause_reading_until_drained(self, workspace, monkeypatch):
+        # Accepted sockets inherit the listener's buffer sizes; with the
+        # smallest ones a few MB of frames fill every kernel buffer, so
+        # the replies the client does not read pile up in the server.
+        monkeypatch.setattr(stream, "MAX_PENDING_REPLY_BYTES", 64)
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 100, seed=9)
+        labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
+        blob = b"".join(f.astype("<i2").tobytes() for f in frames)
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                server._listener.setsockopt(socket.SOL_SOCKET, option, 1)
+            with socket.socket() as reader_later:
+                for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                    reader_later.setsockopt(socket.SOL_SOCKET, option, 1)
+                reader_later.settimeout(SOCKET_TIMEOUT_S)
+                reader_later.connect(server.address)
+                reader_later.settimeout(0.5)
+                sent = 0
+                with pytest.raises(socket.timeout):  # the server stopped reading
+                    while sent < 20 * 2**20:
+                        sent += reader_later.send(blob[sent % len(blob):])
+                # the loop still serves everyone else
+                replies = self.send_frames(server.address, blob[: 40 * FRAME_BYTES], 40)
+                assert list(replies[0::2]) == labels[:40]
+
+                # once the replies drain, the rest is read and answered
+                reader_later.settimeout(SOCKET_TIMEOUT_S)
+                reader_later.shutdown(socket.SHUT_WR)
+                pending = bytearray()
+                while chunk := reader_later.recv(65536):
+                    pending += chunk
+        finally:
+            server.stop()
+        n_frames = sent // FRAME_BYTES
+        assert n_frames >= 100
+        assert list(pending[0::2]) == [labels[i % 100] for i in range(n_frames)]
+        assert set(pending[1::2]) == {PATH_QUANTIZED}
+
+    def test_half_closed_client_gets_every_reply(self, workspace):
+        # The client sends everything, shuts its side and only then reads:
+        # with small kernel buffers the server meets end of stream while
+        # replies still wait in its own buffer, and must send them all.
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 100, seed=11)
+        labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
+        blob = b"".join(f.astype("<i2").tobytes() for f in frames)
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1)
+                sock.settimeout(SOCKET_TIMEOUT_S)
+                sock.connect(server.address)
+                for _ in range(40):
+                    sock.sendall(blob)
+                sock.shutdown(socket.SHUT_WR)
+                time.sleep(0.3)
+                replies = bytearray()
+                while chunk := sock.recv(65536):
+                    replies += chunk
+        finally:
+            server.stop()
+        assert list(replies[0::2]) == labels * 40
+        assert set(replies[1::2]) == {PATH_QUANTIZED}
+
+    def test_serve_forever_serves_the_started_listener(self, workspace):
+        # rfmc serve starts the server, prints its address, then serves
+        # forever on that same listener, at a fixed port
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frame = self.random_frames(qnet, 1, seed=10)[0]
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        server = StreamServer(qnet, port=port)
+        server.start()
+        errors = []
+
+        def serve():
+            try:
+                server.serve_forever()
+            except OSError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            replies = self.send_frames(("127.0.0.1", port), frame.astype("<i2").tobytes(), 1)
+        finally:
+            server.stop()
+            thread.join(timeout=SOCKET_TIMEOUT_S)
+        assert not thread.is_alive() and not errors
+        assert replies == bytes((quant.quantized_forward(qnet, frame)[1], PATH_QUANTIZED))
+
+    def test_one_thread_whatever_the_connections(self, workspace):
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frame = self.random_frames(qnet, 1, seed=7)[0].astype("<i2").tobytes()
+        before = threading.active_count()
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            assert threading.active_count() == before + 1
+            socks = [socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S)
+                     for _ in range(4)]
+            try:
+                for sock in socks:
+                    sock.sendall(frame)
+                for sock in socks:
+                    assert len(sock.recv(2)) == 2  # every connection accepted and served
+                assert threading.active_count() == before + 1
+            finally:
+                for sock in socks:
+                    sock.close()
+        finally:
+            server.stop()
+        assert threading.active_count() == before
+
+    def test_float_model_replies_float_labels(self, workspace):
+        params = fileio.load_float_model(workspace["model"])
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 12, seed=8)
+        server = StreamServer(params)
+        server.start()
+        try:
+            blob = b"".join(f.astype("<i2").tobytes() for f in frames)
+            replies = self.send_frames(server.address, blob, 12, chunk=1001)
+        finally:
+            server.stop()
+        expected = [nn.classify(params, quant.dequantize_array(f, RAW_FLOAT_FORMAT))
+                    for f in frames]
+        assert list(replies[0::2]) == expected
+        assert set(replies[1::2]) == {PATH_FLOAT}
 
 
 class TestExitCodes:

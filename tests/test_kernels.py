@@ -37,14 +37,16 @@ class TestRoundShift:
                 assert g == expected
 
 
-def random_layer(rng, n_out, n_in):
+def random_layer(rng, n_out, n_in, n_frames=None):
     # magnitudes drawn per layer so that requantized outputs land inside
-    # int16 as often as they saturate
+    # int16 as often as they saturate; x is one frame, or a batch of
+    # n_frames
     w_bits = int(rng.integers(1, 16))
     x_bits = int(rng.integers(1, 16))
     weights = rng.integers(-(2**w_bits), 2**w_bits, size=(n_out, n_in)).astype(np.int16)
     bias = rng.integers(INT32_MIN, INT32_MAX, size=n_out, endpoint=True).astype(np.int64)
-    x = rng.integers(-(2**x_bits), 2**x_bits, size=n_in).astype(np.int16)
+    x_shape = n_in if n_frames is None else (n_frames, n_in)
+    x = rng.integers(-(2**x_bits), 2**x_bits, size=x_shape).astype(np.int16)
     return np.ascontiguousarray(weights), bias, np.ascontiguousarray(x)
 
 
@@ -76,14 +78,19 @@ FLAGS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 def assert_matches_oracle(weights, bias, x, shifts=SHIFTS):
+    """x is one frame (in,) or a batch (n, in); each row must match the oracle."""
     w64 = kernels.prepare_weights(weights, bias)
-    accs = python_accumulators(weights, bias, x)
+    accs = [python_accumulators(weights, bias, row) for row in np.atleast_2d(x)]
     for shift in shifts:
         for apply_relu, requantize in FLAGS:
             got = kernels.layer_forward(w64, bias, x, shift, apply_relu, requantize)
+            assert got.shape == (*np.shape(x)[:-1], len(bias))
             assert np.array_equal(got, np.trunc(got))
-            expected = [python_epilogue(a, shift, apply_relu, requantize) for a in accs]
-            assert got.tolist() == expected, (shift, apply_relu, requantize)
+            expected = [
+                [python_epilogue(a, shift, apply_relu, requantize) for a in row]
+                for row in accs
+            ]
+            assert np.atleast_2d(got).tolist() == expected, (shift, apply_relu, requantize)
 
 
 class TestBackends:
@@ -91,6 +98,13 @@ class TestBackends:
         for n_in in [1, 2, 17, 100, 1800, *rng.integers(1, 1801, size=12).tolist()]:
             n_out = int(rng.integers(1, 6))
             assert_matches_oracle(*random_layer(rng, n_out, int(n_in)))
+
+    def test_batches_against_python_ints(self, rng):
+        for n_frames in [1, 2, 3, *rng.integers(4, 24, size=5).tolist()]:
+            n_in = int(rng.integers(1, 1801))
+            n_out = int(rng.integers(1, 6))
+            layer = random_layer(rng, n_out, n_in, n_frames=n_frames)
+            assert_matches_oracle(*layer, shifts=[-2, 0, 1, 7, 13, 20])
 
     def test_ties_and_saturation_against_python_ints(self):
         # a 1-input layer of unit weights makes each accumulator its bias,
@@ -112,7 +126,9 @@ class TestBackends:
             np.int16,
         )
         bias = np.array([INT32_MIN, INT32_MAX, INT32_MIN, INT32_MAX], np.int64)
-        for x in (np.full(n_in, -32768, np.int16), np.full(n_in, 32767, np.int16)):
+        lowest = np.full(n_in, -32768, np.int16)
+        highest = np.full(n_in, 32767, np.int16)
+        for x in (lowest, highest, np.stack([lowest, highest, lowest])):
             assert_matches_oracle(weights, bias, x)
 
     def test_readonly_buffers_against_python_ints(self, rng):
@@ -128,6 +144,44 @@ class TestBackends:
         qnet = quant.QuantizedNetwork([ro_w], [ro_b], [15], [15])
         logits, _ = quant.quantized_forward(qnet, ro_x)
         assert logits.tolist() == python_accumulators(weights, bias, x)
+
+    def test_readonly_multi_frame_blob_against_python_ints(self, rng):
+        # a batch as the stream server and classify --raw hand it over: one
+        # read-only view of several frames' bytes, including the extremes
+        weights, bias, frames = random_layer(rng, 7, 1800, n_frames=4)
+        frames[1] = -32768
+        frames[2] = 32767
+        weights[0] = -32768
+        blob = frames.astype("<i2").tobytes()
+        ro_frames = np.frombuffer(blob, "<i2").reshape(4, 1800)
+        assert not ro_frames.flags.writeable
+        assert_matches_oracle(weights, bias, ro_frames, shifts=[0, 13])
+
+        qnet = quant.QuantizedNetwork([weights], [bias], [15], [15])
+        logits = quant.quantized_logits(qnet, ro_frames)
+        assert logits.dtype == np.int64
+        assert logits.tolist() == [python_accumulators(weights, bias, f) for f in frames]
+        for i, frame in enumerate(ro_frames):
+            assert np.array_equal(logits[i], quant.quantized_forward(qnet, frame)[0])
+
+
+class TestBatchedNetwork:
+    def test_rows_equal_single_frame_passes(self, rng):
+        # a three-layer network with requantization between layers, at
+        # random batch sizes including one
+        layers = [random_layer(rng, n_out, n_in) for n_in, n_out in ((1800, 100), (100, 20), (20, 7))]
+        qnet = quant.QuantizedNetwork(
+            [w for w, _, _ in layers],
+            [b // 2**16 for _, b, _ in layers],
+            weight_frac=[12, 12, 12],
+            act_frac=[10, 4, 4],
+        )
+        for n_frames in [1, *rng.integers(2, 40, size=4).tolist()]:
+            frames = rng.integers(-32768, 32768, size=(n_frames, 1800)).astype(np.int16)
+            logits = quant.quantized_logits(qnet, frames)
+            assert logits.shape == (n_frames, 7)
+            for i in range(n_frames):
+                assert np.array_equal(logits[i], quant.quantized_forward(qnet, frames[i])[0])
 
 
 class TestStaticBound:

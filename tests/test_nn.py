@@ -44,7 +44,7 @@ def numeric_gradients(params, x, y, h=1e-5):
     y1 = np.atleast_1d(y)
 
     def loss_at(p):
-        _, probs = nn._forward_batch(p, x2)
+        _, probs = nn.forward_batch(p, x2)
         picked = probs[np.arange(len(y1)), y1]
         return float(np.mean(-np.log(np.maximum(picked, nn.LOSS_CLAMP))))
 

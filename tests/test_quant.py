@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfmc import nn, quant
-from rfmc.kernels import ACC_LIMIT
+from rfmc.kernels import ACC_LIMIT, INT16_MAX, INT16_MIN
 from rfmc.quant import FixedPointFormat, QuantizedNetwork
 
 FORMATS = st.integers(min_value=0, max_value=15)
@@ -31,6 +31,33 @@ def hand_toy_qnet() -> QuantizedNetwork:
         weight_frac=[14, 13],
         act_frac=[14, 12],
     )
+
+
+def per_neuron_accumulators(qnet: QuantizedNetwork, frame_q: np.ndarray) -> list[list[int]]:
+    """Reference forward pass, neuron by neuron in Python integers.
+
+    Returns every layer's accumulators; hidden layers are requantized as
+    the datapath does (ReLU, right shift rounding half away from zero,
+    int16 saturation) before they feed the next layer. The last entry
+    holds the logits.
+    """
+    x = [int(v) for v in frame_q]
+    layers = []
+    for i in range(qnet.n_layers):
+        accs = [
+            sum(int(w) * v for w, v in zip(row, x)) + int(b)
+            for row, b in zip(qnet.weights[i], qnet.biases[i])
+        ]
+        layers.append(accs)
+        if i < qnet.n_layers - 1:
+            shift = qnet.requant_shift(i)
+            relu = [max(a, 0) for a in accs]
+            if shift > 0:
+                x = [(a + (1 << (shift - 1))) >> shift for a in relu]
+            else:
+                x = [a << -shift for a in relu]
+            x = [max(INT16_MIN, min(INT16_MAX, a)) for a in x]
+    return layers
 
 
 class TestQuantizeValue:
@@ -178,15 +205,20 @@ class TestQuantizedForward:
         assert list(logits) == [31457280, 23068672]
         assert label == 0
 
-    @pytest.mark.parametrize("mode", ["vector", "parallel"])
-    def test_all_modes_agree_with_sequential(self, mode, rng):
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_matches_per_neuron_oracle(self, batched, rng):
         params = nn.init_params((32, 12, 7), seed=6)
         qnet = quant.quantize_network(params, rng.standard_normal((64, 32)))
-        for _ in range(10):
-            frame_q = quant.quantize_frame(rng.standard_normal(32), qnet.input_format)
-            logits, _ = quant.quantized_forward(qnet, frame_q, mode=mode)
-            check, _ = quant.quantized_forward(qnet, frame_q, mode="sequential")
-            assert np.array_equal(logits, check)
+        frames_q = np.stack([
+            quant.quantize_frame(rng.standard_normal(32), qnet.input_format) for _ in range(10)
+        ])
+        expected = [per_neuron_accumulators(qnet, f)[-1] for f in frames_q]
+        if batched:
+            logits = quant.quantized_logits(qnet, frames_q)
+        else:
+            logits = np.stack([quant.quantized_forward(qnet, f)[0] for f in frames_q])
+        assert logits.dtype == np.int64
+        assert logits.tolist() == expected
 
     def test_ties_break_low(self):
         qnet = QuantizedNetwork(
@@ -208,10 +240,13 @@ class TestQuantizedForward:
         with pytest.raises(ValueError):
             quant.quantized_forward(qnet, np.zeros(3, dtype=np.int16))
 
-    def test_unknown_mode_rejected(self):
+    def test_batch_wrong_shape_or_dtype_rejected(self):
         qnet = hand_toy_qnet()
-        with pytest.raises(ValueError):
-            quant.quantized_forward(qnet, np.zeros(2, np.int16), mode="gpu")
+        for frames in (np.zeros(2, np.int16), np.zeros((3, 3), np.int16),
+                       np.zeros((3, 2), np.float64), np.zeros((1, 3, 2), np.int16)):
+            with pytest.raises(ValueError):
+                quant.quantized_logits(qnet, frames)
+        assert quant.quantized_logits(qnet, np.zeros((0, 2), np.int16)).shape == (0, 2)
 
     def test_agreement_with_float_on_random_frames(self, small_pipeline):
         # Decision-level analogue of the quantized-gap claim: both paths,
@@ -229,10 +264,15 @@ class TestQuantizedForward:
         assert agree / n >= 0.98
 
     def test_audit_passes_on_real_network(self, small_pipeline):
+        # every accumulator of every layer, in Python integers, stays
+        # inside the 48-bit register, and the engine's logits equal them
         qnet = small_pipeline["qnet"]
         frame = small_pipeline["test"].frames[0]
         frame_q = quant.quantize_frame(frame, qnet.input_format)
-        quant.quantized_forward(qnet, frame_q, audit=True)  # must not raise
+        layers = per_neuron_accumulators(qnet, frame_q)
+        assert max(abs(a) for accs in layers for a in accs) < ACC_LIMIT
+        logits, _ = quant.quantized_forward(qnet, frame_q)
+        assert logits.tolist() == layers[-1]
 
 
 class TestAccumulatorBound:
@@ -243,7 +283,7 @@ class TestAccumulatorBound:
         x = np.full(n_in, 32767, np.int16)
         bias = np.array([2**31 - 1], np.int64)
         qnet = QuantizedNetwork([weights], [bias], [15], [15])
-        logits, _ = quant.quantized_forward(qnet, x, audit=True)
+        logits, _ = quant.quantized_forward(qnet, x)
         expected = 1800 * 32767 * 32767 + 2**31 - 1  # python big ints
         assert int(logits[0]) == expected
         assert expected < ACC_LIMIT
@@ -254,7 +294,7 @@ class TestAccumulatorBound:
         x = np.full(n_in, 32767, np.int16)
         bias = np.array([-(2**31), 0], np.int64)[:1]
         qnet = QuantizedNetwork([weights], [bias], [15], [15])
-        logits, _ = quant.quantized_forward(qnet, x, audit=True)
+        logits, _ = quant.quantized_forward(qnet, x)
         expected = -1800 * 32768 * 32767 - 2**31
         assert int(logits[0]) == expected
         assert abs(expected) < ACC_LIMIT
