@@ -1,9 +1,11 @@
 """Wall-clock latency and throughput measurement for frame classifiers.
 
 Frames are pre-generated before any clock starts, so synthesis and input
-quantization never pollute the numbers; the quantized path is handed
-ready int16 buffers just as the datapath would receive them. Per-frame
-samples are kept on the report for auditing.
+quantization never pollute the numbers. ``rfmc bench`` hands both model
+kinds raw int16 frames, quantized under the model's raw format (see
+``rfmc.model``), so the float and the quantized path are timed on the
+same int16-in path that ``rfmc serve`` runs. Per-frame samples are kept
+on the report for auditing.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def bench_inference(
 ) -> LatencyReport:
     """Time single-frame classification over pre-generated frames.
 
-    ``frames`` defaults to seeded unit-power Gaussian frames; pass
-    pre-quantized int16 buffers to time the quantized path. Warmup frames
+    ``frames`` defaults to seeded unit-power Gaussian frames; ``rfmc
+    bench`` passes int16 frames for either path. Warmup frames
     are classified and discarded before measurement begins.
     """
     if n_frames < MIN_FRAMES:

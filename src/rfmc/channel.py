@@ -39,8 +39,3 @@ def apply_awgn(frame: np.ndarray, snr_db: float | None, seed: int = 0) -> np.nda
     sigma = math.sqrt(noise_variance(snr_db) / 2.0)
     rng = rng_from_seed(seed)
     return frame + sigma * rng.standard_normal(frame.shape)
-
-
-def apply_awgn_to_noise_class(frame: np.ndarray) -> np.ndarray:
-    """Identity: noise-class frames already sit at the unit noise floor."""
-    return frame

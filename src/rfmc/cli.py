@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, data, evaluation, fileio, nn, quant, sigsynth
+from . import bench, data, evaluation, fileio, model, nn, quant
 from .fileio import ContainerError
-from .nn import NetworkParams, TrainConfig
-from .quant import QuantizedNetwork
+from .nn import TrainConfig
 from .sigsynth import LABEL_NAMES, label_name
-from .stream import FRAME_BYTES, RAW_FLOAT_FORMAT, StreamServer, make_raw_classifier
+from .stream import FRAME_BYTES, StreamServer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,9 +50,9 @@ def snr_grid_arg(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _pick_path(args_path: str | None, model) -> str:
+def _pick_path(args_path: str | None, net) -> str:
     """Resolve --path against the model kind; they must agree."""
-    kind = "quantized" if isinstance(model, QuantizedNetwork) else "float"
+    kind = model.path(net)
     if args_path is None or args_path == kind:
         return kind
     raise UsageError(f"--path {args_path} does not match the {kind} model file")
@@ -129,14 +128,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.model is None:
         raise UsageError("--model is required unless --self-test")
-    model = fileio.load_model(args.model)
+    net = fileio.load_model(args.model)
 
     if args.compare is not None:
-        if not isinstance(model, NetworkParams):
+        if model.path(net) != "float":
             raise UsageError("--compare needs a float --model")
         qnet = fileio.load_quantized_model(args.compare)
-        float_report = evaluation.evaluate(evaluation.float_classifier(model), dataset)
-        quant_report = evaluation.evaluate(evaluation.quantized_classifier(qnet), dataset)
+        float_report = evaluation.evaluate(_labeler(net), dataset)
+        quant_report = evaluation.evaluate(_labeler(qnet), dataset)
         delta = evaluation.compare_reports(float_report, quant_report)
         print("# float path")
         print(evaluation.format_report(float_report))
@@ -149,76 +148,63 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"  error_delta {name:6s} {delta.per_class_error_delta[cls]:+.4f}")
         return EXIT_OK
 
-    path = _pick_path(args.path, model)
-    classifier = (
-        evaluation.quantized_classifier(model)
-        if path == "quantized"
-        else evaluation.float_classifier(model)
-    )
-    report = evaluation.evaluate(classifier, dataset)
+    path = _pick_path(args.path, net)
+    report = evaluation.evaluate(_labeler(net), dataset)
     print(f"path {path}")
     print(evaluation.format_report(report))
     return EXIT_OK
 
 
+def _labeler(net):
+    """Float frames (n, 1800) -> labels (n,), the argmax of ``model.logits``."""
+    return lambda frames: np.argmax(model.logits(net, frames), axis=1)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    model = fileio.load_model(args.model)
-    path = _pick_path(args.path, model)
-    rng_frames = bench.gaussian_frames(args.frames)
-    if path == "quantized":
-        fmt = model.input_format
+    net = fileio.load_model(args.model)
+    path = _pick_path(args.path, net)
+    fmt = model.raw_format(net)
+    frames_q = list(quant.quantize_array(bench.gaussian_frames(args.frames), fmt))
 
-        def classifier(frame_q):
-            return quant.quantized_forward(model, frame_q)[1]
-
-        frames = [quant.quantize_frame(f, fmt) for f in rng_frames]
-    else:
-
-        def classifier(frame):
-            return nn.classify(model, frame)
-
-        frames = rng_frames
+    def classifier(frame_q):
+        return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
 
     report = bench.bench_inference(
         classifier, args.frames, warmup=args.warmup, threads=args.threads,
-        frames=frames, path=path,
+        frames=frames_q, path=path,
     )
     print(bench.format_latency_report(report))
     if args.duration is not None:
-        fps = bench.bench_throughput(classifier, args.duration, frames=frames)
+        fps = bench.bench_throughput(classifier, args.duration, frames=frames_q)
         print(f"sustained_frames_per_second {fps:.1f}")
     return EXIT_OK
 
 
-def _classify_dataset(model, path: str, dataset: data.Dataset) -> None:
-    if path == "quantized":
-        fmt = model.input_format
-        for i in range(len(dataset)):
-            frame_q = quant.quantize_frame(dataset.frames[i], fmt)
-            label = quant.quantized_forward(model, frame_q)[1]
-            print(f"{i}\t{label}\t{label_name(label)}")
-    else:
-        for i in range(len(dataset)):
-            _, probs = nn.forward(model, dataset.frames[i])
-            label = int(np.argmax(probs))
-            probs_text = " ".join(f"{p:.6f}" for p in probs)
-            print(f"{i}\t{label}\t{label_name(label)}\t{probs_text}")
+def _print_labels(net, logits: np.ndarray) -> None:
+    """One line per frame: index, label id, label name; the float path adds
+    the 7 class probabilities."""
+    probs = nn.softmax(logits) if model.path(net) == "float" else None
+    for i, label in enumerate(np.argmax(logits, axis=1).tolist()):
+        line = f"{i}\t{label}\t{label_name(label)}"
+        if probs is not None:
+            line += "\t" + " ".join(f"{p:.6f}" for p in probs[i])
+        print(line)
 
 
-def _classify_raw(model, path: str, blob: bytes) -> None:
+def cmd_classify(args: argparse.Namespace) -> int:
+    if (args.dataset is None) == (args.raw is None):
+        raise UsageError("give exactly one of --dataset or --raw")
+    net = fileio.load_model(args.model)
+    _pick_path(args.path, net)
+    if args.dataset is not None:
+        _print_labels(net, model.logits(net, data.load_dataset(args.dataset).frames))
+        return EXIT_OK
+
+    blob = sys.stdin.buffer.read() if args.raw == "-" else Path(args.raw).read_bytes()
     n_complete = len(blob) // FRAME_BYTES
     frame_len = FRAME_BYTES // 2
     frames_q = np.frombuffer(blob, "<i2", n_complete * frame_len).reshape(n_complete, frame_len)
-    if path == "float":
-        for i, frame_q in enumerate(frames_q):
-            _, probs = nn.forward(model, quant.dequantize_array(frame_q, RAW_FLOAT_FORMAT))
-            label = int(np.argmax(probs))
-            probs_text = " ".join(f"{p:.6f}" for p in probs)
-            print(f"{i}\t{label}\t{label_name(label)}\t{probs_text}")
-    else:
-        classify_raw, _ = make_raw_classifier(model)
-        for i, label in enumerate(classify_raw(frames_q).tolist()):
-            print(f"{i}\t{label}\t{label_name(label)}")
+    _print_labels(net, model.raw_logits(net, frames_q))
     remainder = len(blob) - n_complete * FRAME_BYTES
     if remainder:
         print(
@@ -226,28 +212,15 @@ def _classify_raw(model, path: str, blob: bytes) -> None:
             f"{remainder} trailing bytes ignored",
             file=sys.stderr,
         )
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    if (args.dataset is None) == (args.raw is None):
-        raise UsageError("give exactly one of --dataset or --raw")
-    model = fileio.load_model(args.model)
-    path = _pick_path(args.path, model)
-    if args.dataset is not None:
-        _classify_dataset(model, path, data.load_dataset(args.dataset))
-    else:
-        blob = sys.stdin.buffer.read() if args.raw == "-" else Path(args.raw).read_bytes()
-        _classify_raw(model, path, blob)
     return EXIT_OK
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    model = fileio.load_model(args.model)
-    server = StreamServer(model, host=args.host, port=args.port)
+    net = fileio.load_model(args.model)
+    server = StreamServer(net, host=args.host, port=args.port)
     server.start()
     host, port = server.address
-    kind = "quantized" if isinstance(model, QuantizedNetwork) else "float"
-    print(f"serving {kind} model on {host}:{port} "
+    print(f"serving {model.path(net)} model on {host}:{port} "
           f"({FRAME_BYTES}-byte int16 frames in, 2-byte replies out)")
     server.serve_forever()
     return EXIT_OK

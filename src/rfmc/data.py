@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channel, sigsynth
 from .fileio import ChecksumError, FileFormatError, read_exact
-from .seeding import frame_seed
+from .seeding import frame_seed, rng_from_seed
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel, WaveformParams
 
 DATASET_MAGIC = b"RFDS"
@@ -112,7 +112,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
         raise ValueError("train_fraction must be in (0, 1)")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+    rng = rng_from_seed(seed)
     train_idx, test_idx = [], []
     for cls in np.unique(dataset.labels):
         cls_idx = np.flatnonzero(dataset.labels == cls)

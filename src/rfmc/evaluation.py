@@ -1,8 +1,10 @@
 """Confusion-matrix evaluation of frame classifiers.
 
-A classifier here is any callable mapping one 1800-real frame to a label
-id. Factories wrap the float network and the quantized datapath behind
-that signature so both inference paths are scored by the same code.
+A classifier here is any callable mapping a batch of frames, shape
+(n, 1800), to n label ids. Both inference paths are scored by the same
+code: the CLI passes the argmax of ``rfmc.model.logits``, which reads the
+dataset's float frames (a quantized model quantizes them under its own
+input format; raw int16 input is defined in ``rfmc.model``).
 """
 
 from __future__ import annotations
@@ -12,29 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import nn, quant
 from .data import Dataset
 from .sigsynth import LABEL_NAMES, NUM_CLASSES
-
-Classifier = Callable[[np.ndarray], int]
-
-
-def float_classifier(params: nn.NetworkParams) -> Classifier:
-    def classify(frame: np.ndarray) -> int:
-        return nn.classify(params, frame)
-
-    return classify
-
-
-def quantized_classifier(qnet: quant.QuantizedNetwork) -> Classifier:
-    fmt = qnet.input_format
-
-    def classify(frame: np.ndarray) -> int:
-        frame_q = quant.quantize_frame(frame, fmt)
-        return quant.quantized_forward(qnet, frame_q)[1]
-
-    return classify
-
 
 @dataclass
 class EvalReport:
@@ -54,17 +35,19 @@ class ReportDelta:
     per_class_error_delta: np.ndarray
 
 
-def evaluate(classifier: Classifier, dataset: Dataset) -> EvalReport:
-    """Run the classifier over every record and tally the results.
+def evaluate(classifier: Callable[[np.ndarray], np.ndarray], dataset: Dataset) -> EvalReport:
+    """Classify every record in one call and tally the results.
 
     Noise-class records (snr = NaN) are excluded from the per-SNR buckets
     but count toward the confusion matrix and overall accuracy.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    predictions = np.empty(len(dataset), dtype=np.int64)
-    for i in range(len(dataset)):
-        predictions[i] = classifier(dataset.frames[i])
+    predictions = np.asarray(classifier(dataset.frames), dtype=np.int64)
+    if predictions.shape != (len(dataset),):
+        raise ValueError(
+            f"classifier returned shape {predictions.shape} for {len(dataset)} frames"
+        )
 
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(confusion, (dataset.labels.astype(np.int64), predictions), 1)
@@ -83,12 +66,12 @@ def evaluate(classifier: Classifier, dataset: Dataset) -> EvalReport:
     return EvalReport(confusion, overall, per_class_error, by_snr)
 
 
-def oracle_classifier(dataset: Dataset) -> Classifier:
+def oracle_classifier(dataset: Dataset) -> Callable[[np.ndarray], np.ndarray]:
     """Returns ground truth by frame identity; evaluation self-test hook."""
     index = {dataset.frames[i].tobytes(): int(dataset.labels[i]) for i in range(len(dataset))}
 
-    def classify(frame: np.ndarray) -> int:
-        return index[np.asarray(frame, dtype=np.float32).tobytes()]
+    def classify(frames: np.ndarray) -> np.ndarray:
+        return np.array([index[f.tobytes()] for f in np.asarray(frames, dtype=np.float32)])
 
     return classify
 

@@ -1,0 +1,55 @@
+"""The one way to run a model: a batch of frames in, a batch of logits out.
+
+A model is either a float ``nn.NetworkParams`` (the "float" path) or a
+``quant.QuantizedNetwork`` (the "quantized" path); this is the only module
+outside ``fileio`` that tells the two apart. Eval, classify, bench and the
+stream server all run models through ``logits`` or ``raw_logits``.
+
+Raw input. A raw frame is 1800 int16 values (interleaved I, Q). A
+quantized model reads them under its calibrated ``input_format``; a float
+model reads them as Q2.13 (``RAW_FLOAT_FORMAT``). ``raw_format`` gives the
+format for either kind.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import nn, quant
+from .quant import FixedPointFormat, QuantizedNetwork
+
+# int16 -> float convention for models without a calibrated input format:
+# Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
+RAW_FLOAT_FORMAT = FixedPointFormat(13)
+
+
+def path(model) -> str:
+    """The model's kind: "quantized" for a ``QuantizedNetwork``, else "float"."""
+    return "quantized" if isinstance(model, QuantizedNetwork) else "float"
+
+
+def raw_format(model) -> FixedPointFormat:
+    """The fixed-point format under which ``model`` reads raw int16 frames."""
+    return model.input_format if path(model) == "quantized" else RAW_FLOAT_FORMAT
+
+
+def logits(model, frames: np.ndarray) -> np.ndarray:
+    """Float frames (n, 1800) -> logits (n, 7).
+
+    The quantized path quantizes the frames under the model's input format
+    and returns the exact int64 logits of the integer datapath.
+    """
+    if path(model) == "quantized":
+        return quant.quantized_logits(model, quant.quantize_array(frames, model.input_format))
+    return nn.forward_batch(model, frames)[0]
+
+
+def raw_logits(model, frames_q: np.ndarray) -> np.ndarray:
+    """Raw int16 frames (n, 1800) -> logits (n, 7), read under ``raw_format``.
+
+    The quantized path feeds the integers to the datapath unchanged; it
+    never dequantizes and requantizes them.
+    """
+    if path(model) == "quantized":
+        return quant.quantized_logits(model, frames_q)
+    return nn.forward_batch(model, quant.dequantize_array(frames_q, RAW_FLOAT_FORMAT))[0]

@@ -61,13 +61,20 @@ def quantize_value(x: float, fmt: FixedPointFormat) -> int:
 
 
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Vectorized quantize_value; returns int16."""
-    x = np.asarray(x, dtype=np.float64)
+    """Vectorized quantize_value; returns int16.
+
+    Works in place on one float64 copy: scaling by a power of two is
+    exact, and adding a half of the value's own sign before truncating
+    rounds half away from zero for either sign.
+    """
+    x = np.array(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
-    magnitude = np.floor(np.abs(x) * fmt.scale + 0.5)
-    q = np.where(x >= 0, magnitude, -magnitude)
-    return np.clip(q, INT16_MIN, INT16_MAX).astype(np.int16)
+    x *= fmt.scale
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    np.clip(x, INT16_MIN, INT16_MAX, out=x)
+    return x.astype(np.int16)
 
 
 def dequantize_value(q: int, fmt: FixedPointFormat) -> float:
@@ -252,10 +259,3 @@ def quantized_forward(qnet: QuantizedNetwork, frame_q: np.ndarray) -> tuple[np.n
         raise ValueError(f"frame_q must have shape ({n_in},), got {frame_q.shape}")
     logits = quantized_logits(qnet, frame_q[np.newaxis])[0]
     return logits, int(np.argmax(logits))
-
-
-def classify_quantized(qnet: QuantizedNetwork, frame: np.ndarray) -> int:
-    """Quantize a float frame under the input format and classify it."""
-    frame_q = quantize_frame(frame, qnet.input_format)
-    _, label = quantized_forward(qnet, frame_q)
-    return label

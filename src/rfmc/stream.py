@@ -16,8 +16,9 @@ read wait in a per-connection buffer; once that holds
 ``MAX_PENDING_REPLY_BYTES`` the connection is not read until it drains,
 so a client that never reads cannot stall the loop or grow the buffer.
 
-Quantized models interpret the integers under their own input format;
-float models use the fixed Q2.13 convention (see RAW_FLOAT_FORMAT).
+What the integers mean is defined in ``rfmc.model``: a quantized model
+reads them under its own input format, a float model as Q2.13
+(``model.RAW_FLOAT_FORMAT``).
 """
 
 from __future__ import annotations
@@ -29,18 +30,13 @@ import threading
 
 import numpy as np
 
-from . import nn, quant
-from .quant import FixedPointFormat, QuantizedNetwork
+from . import model
 
 logger = logging.getLogger(__name__)
 
 FRAME_BYTES = 3600
 PATH_FLOAT = 0
 PATH_QUANTIZED = 1
-
-# int16 -> float convention for models without a calibrated input format:
-# Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
-RAW_FLOAT_FORMAT = FixedPointFormat(13)
 
 RECV_BYTES = 65536
 # Unsent replies past which a connection is no longer read.
@@ -49,22 +45,13 @@ MAX_PENDING_REPLY_BYTES = 65536
 POLL_S = 0.05
 
 
-def make_raw_classifier(model) -> tuple:
+def make_raw_classifier(net) -> tuple:
     """(int16 frames (n, 1800) -> labels (n,)) callable plus the reply path byte."""
-    if isinstance(model, QuantizedNetwork):
-
-        def classify_raw(frames_q: np.ndarray) -> np.ndarray:
-            return np.argmax(quant.quantized_logits(model, frames_q), axis=1)
-
-        return classify_raw, PATH_QUANTIZED
-
-    params = model
 
     def classify_raw(frames_q: np.ndarray) -> np.ndarray:
-        logits, _ = nn.forward_batch(params, quant.dequantize_array(frames_q, RAW_FLOAT_FORMAT))
-        return np.argmax(logits, axis=1)
+        return np.argmax(model.raw_logits(net, frames_q), axis=1)
 
-    return classify_raw, PATH_FLOAT
+    return classify_raw, {"float": PATH_FLOAT, "quantized": PATH_QUANTIZED}[model.path(net)]
 
 
 class _Connection:
@@ -82,8 +69,8 @@ class _Connection:
 class StreamServer:
     """Single-threaded TCP server: one selector loop, one batch per recv."""
 
-    def __init__(self, model, host: str = "127.0.0.1", port: int = 0):
-        self._classify, self.path_byte = make_raw_classifier(model)
+    def __init__(self, net, host: str = "127.0.0.1", port: int = 0):
+        self._classify, self.path_byte = make_raw_classifier(net)
         self._host = host
         self._port = port
         self._listener: socket.socket | None = None

@@ -52,18 +52,3 @@ class TestApplyAwgn:
     def test_shape_preserved(self, unit_frame):
         assert channel.apply_awgn(unit_frame, 3.0, seed=0).shape == unit_frame.shape
 
-
-class TestNoiseClassPassThrough:
-    def test_identity(self):
-        frame = sigsynth.gen_noise_frame(1)
-        assert channel.apply_awgn_to_noise_class(frame) is frame
-
-    def test_idempotent(self):
-        frame = sigsynth.gen_noise_frame(2)
-        once = channel.apply_awgn_to_noise_class(frame)
-        twice = channel.apply_awgn_to_noise_class(once)
-        assert np.array_equal(once, twice)
-
-    def test_length_preserved(self):
-        frame = sigsynth.gen_noise_frame(3)
-        assert len(channel.apply_awgn_to_noise_class(frame)) == sigsynth.FRAME_LEN

@@ -8,10 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from rfmc import cli, data, fileio, nn, quant, stream
+from rfmc import cli, data, fileio, model, nn, quant, stream
+from rfmc.model import RAW_FLOAT_FORMAT
 from rfmc.seeding import split_seed
 from rfmc.sigsynth import label_name
-from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, RAW_FLOAT_FORMAT, StreamServer
+from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, StreamServer
 
 SOCKET_TIMEOUT_S = 10.0
 
@@ -140,6 +141,14 @@ class TestEval:
         line = [l for l in stdout.splitlines()
                 if l.startswith("accuracy_gap_quantized_minus_float")][0]
         assert line.split()[1][0] in "+-"
+        dataset = data.load_dataset(workspace["ds"])
+        expected = [
+            np.mean(np.argmax(model.logits(fileio.load_model(workspace[m]), dataset.frames),
+                              axis=1) == dataset.labels)
+            for m in ("model", "qmodel")
+        ]
+        assert [float(l.split()[1]) for l in stdout.splitlines()
+                if l.startswith("overall_accuracy")] == pytest.approx(expected, abs=1e-6)
 
     def test_output_parses(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "eval", "--model", str(workspace["qmodel"]),
@@ -153,6 +162,24 @@ class TestEval:
                                "--dataset", str(workspace["ds"]), "--path", "float")
         assert code == 2
         assert "does not match" in err
+
+
+class TestBench:
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    def test_reports_latency_for_each_model_kind(self, workspace, capsys, kind):
+        model_file = workspace["model" if kind == "float" else "qmodel"]
+        code, stdout, _ = run_cli(capsys, "bench", "--model", str(model_file),
+                                  "--frames", "100", "--warmup", "0")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0] == f"path {kind}"
+        fields = dict(line.split(" ", 1) for line in lines[1:8])
+        assert fields["frames"] == "100"
+        for name in ("min_us", "p50_us", "p99_us", "mean_us", "frames_per_second"):
+            assert float(fields[name]) > 0
+        assert float(fields["min_us"]) <= float(fields["p50_us"]) <= float(fields["p99_us"])
+        assert "FPGA (reference) 24.0 us/sample" in lines
+        assert any(line.startswith("Nano GPU (reference)") for line in lines)
 
 
 class TestClassify:
@@ -197,16 +224,34 @@ class TestClassify:
         ]
         assert stdout.splitlines() == expected
 
+    def test_float_raw_labels_and_probabilities(self, workspace, tmp_path, capsys):
+        raw = self.make_raw_file(workspace, tmp_path, 6, trailing=3)
+        code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace["model"]),
+                                    "--raw", str(raw))
+        assert code == 0
+        assert f"byte offset {6 * FRAME_BYTES}" in err
+        params = fileio.load_float_model(workspace["model"])
+        frames_q = np.frombuffer(raw.read_bytes(), "<i2", 6 * 1800).reshape(6, 1800)
+        expected = np.argmax(model.raw_logits(params, frames_q), axis=1)
+        lines = stdout.splitlines()
+        assert len(lines) == 6
+        for i, line in enumerate(lines):
+            idx, label_id, name, probs_text = line.split("\t")
+            assert (int(idx), int(label_id), name) == (i, expected[i], label_name(expected[i]))
+            probs = [float(p) for p in probs_text.split()]
+            assert len(probs) == 7
+            assert sum(probs) == pytest.approx(1.0, abs=1e-5)
+
     def test_dataset_labels_match_eval_path(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                   "--dataset", str(workspace["ds"]))
         assert code == 0
         dataset = data.load_dataset(workspace["ds"])
         qnet = fileio.load_quantized_model(workspace["qmodel"])
+        expected = np.argmax(model.logits(qnet, dataset.frames), axis=1)
         for line in stdout.strip().splitlines():
             idx, label_id, name = line.split("\t")[:3]
-            expected = quant.classify_quantized(qnet, dataset.frames[int(idx)])
-            assert int(label_id) == expected
+            assert int(label_id) == expected[int(idx)]
 
     def test_float_path_prints_probabilities(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["model"]),
@@ -217,6 +262,11 @@ class TestClassify:
         probs = [float(p) for p in first[3].split()]
         assert len(probs) == 7
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)
+        params = fileio.load_float_model(workspace["model"])
+        frames = data.load_dataset(workspace["ds"]).frames
+        expected = nn.softmax(model.logits(params, frames))
+        for line, row in zip(stdout.splitlines(), expected):
+            assert line.split("\t")[3] == " ".join(f"{p:.6f}" for p in row)
 
     def test_both_inputs_rejected(self, workspace, tmp_path, capsys):
         raw = self.make_raw_file(workspace, tmp_path, 1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfmc import data, evaluation
+from rfmc import data, evaluation, model
 from rfmc.sigsynth import NUM_CLASSES
 
 # Paper context (not asserted: the hardware dataset is unavailable):
@@ -27,18 +27,18 @@ class TestEvaluate:
         assert all(acc == 1.0 for _, _, acc in report.by_snr)
 
     def test_constant_classifier(self, tiny_dataset):
-        report = evaluation.evaluate(lambda frame: 0, tiny_dataset)
+        report = evaluation.evaluate(lambda frames: np.zeros(len(frames)), tiny_dataset)
         assert report.overall_accuracy == pytest.approx(1 / 7)
         assert report.confusion[:, 0].sum() == len(tiny_dataset)
         assert report.confusion[:, 1:].sum() == 0
 
     def test_confusion_total_and_trace(self, tiny_dataset):
-        report = evaluation.evaluate(lambda frame: int(frame[0] > 0), tiny_dataset)
+        report = evaluation.evaluate(lambda frames: frames[:, 0] > 0, tiny_dataset)
         assert report.confusion.sum() == len(tiny_dataset)
         assert report.overall_accuracy == np.trace(report.confusion) / len(tiny_dataset)
 
     def test_snr_buckets_aggregate_to_overall(self, tiny_dataset):
-        report = evaluation.evaluate(lambda frame: int(frame[1] > 0) * 3, tiny_dataset)
+        report = evaluation.evaluate(lambda frames: (frames[:, 1] > 0) * 3, tiny_dataset)
         bucket_correct = sum(n * acc for _, n, acc in report.by_snr)
         noise_correct = report.confusion[0, 0]
         assert bucket_correct + noise_correct == pytest.approx(np.trace(report.confusion))
@@ -46,7 +46,7 @@ class TestEvaluate:
         assert sum(n for _, n, acc in report.by_snr) == (tiny_dataset.labels != 0).sum()
 
     def test_deterministic_and_order_independent(self, tiny_dataset):
-        classifier = lambda frame: int(abs(frame[2]) * 7) % 7  # noqa: E731
+        classifier = lambda frames: (np.abs(frames[:, 2]) * 7).astype(int) % 7  # noqa: E731
         a = evaluation.evaluate(classifier, tiny_dataset)
         b = evaluation.evaluate(classifier, tiny_dataset)
         assert np.array_equal(a.confusion, b.confusion)
@@ -57,30 +57,38 @@ class TestEvaluate:
             np.empty((0, 1800), np.float32), np.empty(0, np.uint8), np.empty(0, np.float32)
         )
         with pytest.raises(ValueError):
-            evaluation.evaluate(lambda f: 0, empty)
+            evaluation.evaluate(lambda frames: np.zeros(len(frames)), empty)
+
+
+    def test_wrong_label_count_rejected(self, tiny_dataset):
+        for classifier in (lambda frames: 0, lambda frames: np.zeros(len(frames) - 1)):
+            with pytest.raises(ValueError):
+                evaluation.evaluate(classifier, tiny_dataset)
 
 
 class TestCompareReports:
     def test_report_against_itself_is_zero(self, tiny_dataset):
-        report = evaluation.evaluate(lambda frame: 2, tiny_dataset)
+        report = evaluation.evaluate(lambda frames: np.full(len(frames), 2), tiny_dataset)
         delta = evaluation.compare_reports(report, report)
         assert delta.accuracy_gap == 0.0
         assert np.allclose(delta.per_class_error_delta, 0.0, equal_nan=True)
 
     def test_mismatched_totals_rejected(self, tiny_dataset):
-        report = evaluation.evaluate(lambda frame: 0, tiny_dataset)
+        report = evaluation.evaluate(lambda frames: np.zeros(len(frames)), tiny_dataset)
         smaller, _ = data.split(tiny_dataset, 0.5, seed=0)
-        other = evaluation.evaluate(lambda frame: 0, smaller)
+        other = evaluation.evaluate(lambda frames: np.zeros(len(frames)), smaller)
         with pytest.raises(ValueError):
             evaluation.compare_reports(report, other)
 
     def test_float_vs_quantized_gap_small(self, small_pipeline):
         test_ds = small_pipeline["test"]
         float_report = evaluation.evaluate(
-            evaluation.float_classifier(small_pipeline["params"]), test_ds
+            lambda frames: np.argmax(model.logits(small_pipeline["params"], frames), axis=1),
+            test_ds,
         )
         quant_report = evaluation.evaluate(
-            evaluation.quantized_classifier(small_pipeline["qnet"]), test_ds
+            lambda frames: np.argmax(model.logits(small_pipeline["qnet"], frames), axis=1),
+            test_ds,
         )
         delta = evaluation.compare_reports(float_report, quant_report)
         assert abs(delta.accuracy_gap) <= 0.015

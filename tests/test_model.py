@@ -1,0 +1,98 @@
+"""Tests for rfmc.model: one batch-first way to run either model kind."""
+
+import numpy as np
+import pytest
+
+from rfmc import model, nn, quant
+from rfmc.model import RAW_FLOAT_FORMAT
+from test_quant import per_neuron_accumulators
+
+
+@pytest.fixture(scope="module")
+def frames(small_pipeline):
+    """Held-out float frames plus random unit-power frames."""
+    rng = np.random.default_rng(41)
+    noise = rng.standard_normal((6, 1800)) * np.sqrt(0.5)
+    return np.concatenate([small_pipeline["test"].frames[:10], noise])
+
+
+@pytest.fixture(scope="module")
+def qnet(small_pipeline):
+    """Calibrated on louder frames, so its input format is wider than Q2.13
+    and the two kinds read the same raw integers differently."""
+    qnet = quant.quantize_network(small_pipeline["params"], small_pipeline["train"].frames * 4)
+    assert qnet.input_format != RAW_FLOAT_FORMAT
+    return qnet
+
+
+@pytest.fixture(params=["float", "quantized"])
+def net(request, small_pipeline, qnet):
+    return small_pipeline["params"] if request.param == "float" else qnet
+
+
+def raw_frames(net, frames):
+    return quant.quantize_array(frames, model.raw_format(net))
+
+
+class TestKind:
+    def test_path_and_raw_format(self, small_pipeline, qnet):
+        params = small_pipeline["params"]
+        assert model.path(params) == "float"
+        assert model.path(qnet) == "quantized"
+        assert model.raw_format(params) == RAW_FLOAT_FORMAT == quant.FixedPointFormat(13)
+        assert model.raw_format(qnet) == qnet.input_format
+
+
+class TestBatchRows:
+    def test_logits_rows_equal_one_row_calls(self, net, frames):
+        batch = model.logits(net, frames)
+        rows = np.concatenate([model.logits(net, f[np.newaxis]) for f in frames])
+        assert batch.shape == (len(frames), 7)
+        if model.path(net) == "quantized":
+            assert batch.dtype == np.int64
+            assert np.array_equal(batch, rows)
+        else:
+            assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
+
+    def test_raw_logits_rows_equal_one_row_calls(self, net, frames):
+        frames_q = raw_frames(net, frames)
+        batch = model.raw_logits(net, frames_q)
+        rows = np.concatenate([model.raw_logits(net, f[np.newaxis]) for f in frames_q])
+        assert batch.shape == (len(frames), 7)
+        if model.path(net) == "quantized":
+            assert np.array_equal(batch, rows)
+        else:
+            assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
+
+    def test_empty_batch(self, net):
+        assert model.raw_logits(net, np.zeros((0, 1800), np.int16)).shape == (0, 7)
+
+
+class TestQuantized:
+    def test_logits_quantize_under_the_input_format(self, qnet, frames):
+        expected = [quant.quantized_forward(qnet, quant.quantize_frame(f, qnet.input_format))[0]
+                    for f in frames]
+        assert np.array_equal(model.logits(qnet, frames), np.stack(expected))
+
+    def test_raw_logits_match_per_neuron_oracle(self, qnet, frames):
+        frames_q = raw_frames(qnet, frames[:4])
+        expected = [per_neuron_accumulators(qnet, f)[-1] for f in frames_q]
+        assert model.raw_logits(qnet, frames_q).tolist() == expected
+
+    def test_raw_input_must_be_int16(self, qnet):
+        with pytest.raises(ValueError):
+            model.raw_logits(qnet, np.zeros((1, 1800)))
+
+
+class TestFloat:
+    def test_raw_logits_read_q2_13(self, small_pipeline):
+        params = small_pipeline["params"]
+        rng = np.random.default_rng(5)
+        frames_q = rng.integers(-32768, 32768, size=(9, 1800), dtype=np.int16)
+        expected, _ = nn.forward_batch(params, frames_q / 8192)
+        assert np.array_equal(model.raw_logits(params, frames_q), expected)
+
+    def test_logits_match_forward_batch(self, small_pipeline, frames):
+        params = small_pipeline["params"]
+        expected, _ = nn.forward_batch(params, frames)
+        assert np.array_equal(model.logits(params, frames), expected)
