@@ -8,6 +8,7 @@ frame at ``snr_db`` carries complex noise of variance 10**(-snr_db/10)
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -25,17 +26,33 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def apply_awgn_batch(
+    frames: np.ndarray, snr_db: Sequence[float], rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Return ``frames`` (n, ...) plus complex white Gaussian noise.
+
+    Row i gets noise at ``snr_db[i]``, drawn from ``rngs[i]`` alone.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if not len(frames) == len(snr_db) == len(rngs):
+        raise ValueError("frames, snr_db and rngs must have the same length")
+    for snr in snr_db:
+        if not math.isfinite(snr):
+            raise ValueError(f"snr_db must be finite or CLEAN, got {snr}")
+    sigma = np.array([math.sqrt(noise_variance(snr) / 2.0) for snr in snr_db])
+    noise = np.empty_like(frames)
+    for row, rng in zip(noise, rngs):
+        rng.standard_normal(out=row)
+    noise *= sigma.reshape((-1,) + (1,) * (frames.ndim - 1))
+    return frames + noise
+
+
 def apply_awgn(frame: np.ndarray, snr_db: float | None, seed: int = 0) -> np.ndarray:
     """Return ``frame`` plus complex white Gaussian noise at ``snr_db``.
 
-    ``snr_db=CLEAN`` returns the input unchanged. Deterministic for a
-    fixed seed.
+    ``snr_db=CLEAN`` returns the input unchanged. Otherwise one row of
+    ``apply_awgn_batch``, drawing from the generator keyed by ``seed``.
     """
     if snr_db is CLEAN:
         return frame
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite or CLEAN, got {snr_db}")
-    frame = np.asarray(frame, dtype=np.float64)
-    sigma = math.sqrt(noise_variance(snr_db) / 2.0)
-    rng = rng_from_seed(seed)
-    return frame + sigma * rng.standard_normal(frame.shape)
+    return apply_awgn_batch(np.asarray(frame)[np.newaxis], [snr_db], [rng_from_seed(seed)])[0]

@@ -1,9 +1,14 @@
 """Labeled (frame, label, snr) datasets: build, split, save, load.
 
-Each frame's randomness is keyed by a splittable hash of
-(master_seed, class, index), so generation order never matters and the
-same spec always produces byte-identical datasets. Frames are stored as
-f32; noise-class records carry an n/a flag instead of an SNR.
+Each frame draws from its own counter-keyed Philox streams
+(``seeding.frame_seed``): stream 0 gives the symbols (or the noise-class
+samples), stream 1 the channel noise, each keyed by the master seed with
+the counter starting at (0, index, class, stream). So a frame is a pure
+function of (master seed, class, index, stream): generation order never
+matters, the same spec always produces byte-identical datasets, and a
+dataset with N frames per class is, class by class, a prefix of one with
+more. ``build_dataset`` makes each class in one batch. Frames are stored
+as f32; noise-class records carry an n/a flag instead of an SNR.
 
 File layout (little-endian): magic "RFDS" | version u16 | record count
 u32 | frame length u16 | records (label u8, snr flag u8 0=valid 1=n/a,
@@ -72,33 +77,30 @@ class Dataset:
 
 
 def build_dataset(spec: DatasetSpec) -> Dataset:
-    """Generate frames_per_class frames for all seven classes.
+    """Generate frames_per_class frames for all seven classes, one batch per class.
 
     Modulated classes cycle their SNR over ``spec.snr_grid`` by frame
     index; the noise class is the bare receiver noise floor.
     """
     spec.validate()
-    n = NUM_CLASSES * spec.frames_per_class
+    per_class = spec.frames_per_class
+    n = NUM_CLASSES * per_class
     frames = np.empty((n, FRAME_LEN), dtype=np.float32)
-    labels = np.empty(n, dtype=np.uint8)
-    snr_db = np.empty(n, dtype=np.float32)
+    labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class)
+    snr_db = np.full(n, np.nan, dtype=np.float32)
 
     grid = spec.snr_grid
-    row = 0
     for cls in range(NUM_CLASSES):
-        for idx in range(spec.frames_per_class):
-            mod_seed = frame_seed(spec.master_seed, cls, idx, stream=0)
-            if cls == ModulationLabel.NOISE:
-                frame = sigsynth.gen_noise_frame(mod_seed)
-                snr = np.nan
-            else:
-                frame = sigsynth.modulate(ModulationLabel(cls), spec.waveform, seed=mod_seed)
-                snr = grid[idx % len(grid)]
-                frame = channel.apply_awgn(frame, snr, seed=frame_seed(spec.master_seed, cls, idx, stream=1))
-            frames[row] = frame
-            labels[row] = cls
-            snr_db[row] = snr
-            row += 1
+        rows = slice(cls * per_class, (cls + 1) * per_class)
+        rngs = [frame_seed(spec.master_seed, cls, idx, stream=0) for idx in range(per_class)]
+        if cls == ModulationLabel.NOISE:
+            frames[rows] = sigsynth.gen_noise_batch(rngs)
+            continue
+        snrs = [grid[idx % len(grid)] for idx in range(per_class)]
+        clean = sigsynth.modulate_batch(ModulationLabel(cls), spec.waveform, rngs)
+        noise_rngs = [frame_seed(spec.master_seed, cls, idx, stream=1) for idx in range(per_class)]
+        frames[rows] = channel.apply_awgn_batch(clean, snrs, noise_rngs)
+        snr_db[rows] = snrs
     return Dataset(frames, labels, snr_db, provenance=spec)
 
 

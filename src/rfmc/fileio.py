@@ -11,11 +11,16 @@ Layout (all little-endian):
   trailer: CRC32 of the body, u32
 
 Corruption, truncation, and unknown formats raise distinct exceptions so
-callers can report them separately.
+callers can report them separately. Headers come from outside the
+program: layer dims must chain, and every size a header claims is checked
+against the size of the file before it is read, so a hostile header ends
+in a ``FileFormatError`` (``TruncatedFileError`` is one), never in an
+allocation of the size it claims.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from typing import BinaryIO, Union
@@ -43,11 +48,22 @@ class ChecksumError(ContainerError):
     """Body CRC32 does not match the stored trailer."""
 
 
-class TruncatedFileError(ContainerError):
-    """File ended before the expected number of bytes."""
+class TruncatedFileError(FileFormatError):
+    """File holds fewer bytes than its header claims."""
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of a file.
+
+    ``n`` is checked against the bytes left in the file (``os.fstat``)
+    before anything is read, so a header claiming a huge size is rejected
+    without allocating it.
+    """
+    remaining = os.fstat(f.fileno()).st_size - f.tell()
+    if n > remaining:
+        raise TruncatedFileError(
+            f"truncated file: expected {n} bytes for {what}, {max(remaining, 0)} left"
+        )
     data = f.read(n)
     if len(data) != n:
         raise TruncatedFileError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
@@ -75,6 +91,11 @@ def _read_header(f: BinaryIO) -> tuple[int, list[tuple[int, int]]]:
     dims = []
     for i in range(n_layers):
         out_dim, in_dim = struct.unpack("<II", read_exact(f, 8, f"layer {i} dims"))
+        if dims and in_dim != dims[-1][0]:
+            raise FileFormatError(
+                f"layer {i} input dim {in_dim} does not chain to the previous "
+                f"output dim {dims[-1][0]}"
+            )
         dims.append((out_dim, in_dim))
     return kind, dims
 

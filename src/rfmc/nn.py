@@ -95,6 +95,10 @@ class AdamState:
     v_weights: list[np.ndarray]
     v_biases: list[np.ndarray]
     step_count: int = 0
+    # Two work buffers per parameter array for adam_update.
+    _buffers: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
@@ -104,6 +108,22 @@ class AdamState:
             v_weights=[np.zeros_like(w) for w in params.weights],
             v_biases=[np.zeros_like(b) for b in params.biases],
         )
+
+    def copy(self) -> "AdamState":
+        return AdamState(
+            [m.copy() for m in self.m_weights],
+            [m.copy() for m in self.m_biases],
+            [v.copy() for v in self.v_weights],
+            [v.copy() for v in self.v_biases],
+            self.step_count,
+        )
+
+    def buffers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Work buffers shaped like the moments, weights first, then biases."""
+        if not self._buffers:
+            self._buffers = [(np.empty_like(m), np.empty_like(m))
+                             for m in self.m_weights + self.m_biases]
+        return self._buffers
 
 
 def init_params(layer_dims: tuple[int, ...] = ARCH, seed: int = 0) -> NetworkParams:
@@ -210,13 +230,11 @@ def gradients(params: NetworkParams, frames: np.ndarray, labels: np.ndarray) -> 
     return grads
 
 
-def adam_step(
-    params: NetworkParams,
-    grads: Gradients,
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
+def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
+
+    Allocates nothing per step: the work buffers live in ``state``.
+    """
     for gw, w in zip(grads.weights, params.weights):
         if gw.shape != w.shape:
             raise ValueError("gradient shape mismatch")
@@ -224,7 +242,8 @@ def adam_step(
         if gb.shape != b.shape:
             raise ValueError("gradient shape mismatch")
 
-    t = state.step_count + 1
+    state.step_count += 1
+    t = state.step_count
     b1, b2, eps, lr = (
         config.adam_beta1,
         config.adam_beta2,
@@ -234,24 +253,46 @@ def adam_step(
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
 
-    def update(p, g, m, v):
-        m_new = b1 * m + (1 - b1) * g
-        v_new = b2 * v + (1 - b2) * g**2
-        p_new = p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
-        return p_new, m_new, v_new
+    for p, g, m, v, (step, denom) in zip(
+        params.weights + params.biases,
+        grads.weights + grads.biases,
+        state.m_weights + state.m_biases,
+        state.v_weights + state.v_biases,
+        state.buffers(),
+    ):
+        # One operation at a time, in the order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
+        #   p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+        # so the bits are those of evaluating these expressions.
+        m *= b1
+        np.multiply(g, 1 - b1, out=step)
+        m += step
+        v *= b2
+        np.square(g, out=denom)
+        denom *= 1 - b2
+        v += denom
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
 
-    new_w, new_b = [], []
-    new_state = AdamState([], [], [], [], step_count=t)
-    for i in range(params.n_layers):
-        w, mw, vw = update(params.weights[i], grads.weights[i], state.m_weights[i], state.v_weights[i])
-        b, mb, vb = update(params.biases[i], grads.biases[i], state.m_biases[i], state.v_biases[i])
-        new_w.append(w)
-        new_b.append(b)
-        new_state.m_weights.append(mw)
-        new_state.v_weights.append(vw)
-        new_state.m_biases.append(mb)
-        new_state.v_biases.append(vb)
-    return NetworkParams(new_w, new_b), new_state
+
+def adam_step(
+    params: NetworkParams,
+    grads: Gradients,
+    state: AdamState,
+    config: TrainConfig,
+) -> tuple[NetworkParams, AdamState]:
+    """One bias-corrected Adam update; returns new params and state.
+
+    The inputs are left as they were: this is ``adam_update`` on copies.
+    """
+    params, state = params.copy(), state.copy()
+    adam_update(params, grads, state, config)
+    return params, state
 
 
 def train(
@@ -294,7 +335,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             grads, loss = _forward_backward(params, x[idx], y[idx])
-            params, state = adam_step(params, grads, state, config)
+            adam_update(params, grads, state, config)
             if config.weight_decay:
                 for w in params.weights:
                     w *= decay

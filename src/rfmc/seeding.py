@@ -1,33 +1,44 @@
 """Deterministic, platform-independent random streams.
 
-Every stochastic operation in the package draws from a counter-based Philox
-generator keyed by an integer seed, so identical seeds reproduce identical
-bits on any platform and generation can fan out across workers safely.
+Every stochastic operation in the package draws from a counter-based
+Philox4x64 generator, so identical seeds reproduce identical bits on any
+platform.
+
+Dataset frames draw from counter-keyed streams (Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11). The master seed is the
+128-bit Philox key; the 256-bit counter starts at
+``[0, frame index, class, stream]``. Word 0 is the block counter and
+carries into word 1, so the streams of distinct (class, index, stream)
+triples are disjoint for the first 2**64 blocks (2**66 raw 64-bit draws)
+of each. A frame's randomness is therefore a pure function of
+(master seed, class, index, stream), whatever order frames are made in,
+and no hash is computed to find it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_KEY_MASK = (1 << 128) - 1
+KEY_MASK = (1 << 128) - 1
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Return a Philox generator keyed directly by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed & _KEY_MASK))
+    return np.random.Generator(np.random.Philox(key=seed & KEY_MASK))
 
 
 def split_seed(seed: int, n: int) -> list[int]:
     """Derive ``n`` independent 64-bit child seeds from one master seed."""
-    ss = np.random.SeedSequence(seed & _KEY_MASK)
+    ss = np.random.SeedSequence(seed & KEY_MASK)
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(n)]
 
 
-def frame_seed(master_seed: int, class_id: int, frame_index: int, stream: int = 0) -> int:
-    """64-bit splittable hash of (master seed, class, frame index).
+def frame_seed(master_seed: int, class_id: int, frame_index: int, stream: int = 0) -> np.random.Generator:
+    """One frame's stream, seeded: a Philox generator keyed by ``master_seed``
+    with its counter starting at ``[0, frame_index, class_id, stream]``.
 
-    ``stream`` separates independent uses for the same frame (e.g. symbol
-    bits vs. channel noise).
+    ``stream`` separates independent uses for the same frame (symbols or
+    the noise-class samples are stream 0, channel noise is stream 1).
     """
-    ss = np.random.SeedSequence((master_seed & _KEY_MASK, class_id, frame_index, stream))
-    return int(ss.generate_state(1, np.uint64)[0])
+    counter = np.array([0, frame_index, class_id, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=master_seed & KEY_MASK, counter=counter))

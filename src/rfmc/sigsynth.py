@@ -3,13 +3,25 @@
 A frame is 900 complex samples carried as 1800 interleaved reals
 (I, Q, I, Q, ...). Linear classes (BPSK/QPSK/QAM16) are RRC pulse-shaped
 constellation streams; CPM/GFSK/GMSK are continuous-phase waveforms built
-from a frequency pulse and a running phase integral. Everything is a pure
-function of (label, params, seed).
+from a frequency pulse and a running phase integral.
+
+Synthesis is batch-first: ``modulate_batch`` shapes every frame of a
+class with one matrix product. Pulse shaping is linear in the symbols, so
+per ``(label, WaveformParams)`` it is one cached synthesis matrix: the
+18 x 900 RRC matrix of a linear class (at the default 90 samples per
+symbol), or the frequency-pulse matrix scaled by pi*h/sps of a phase
+class. Its entries sit on a power-of-two grid on which the product with
+integer symbols is exact, so each frame is a pure function of (label,
+params, the generator it draws from): its bits depend neither on the BLAS
+build nor on the other frames of its batch. ``modulate`` and
+``gen_noise_frame`` are one-row calls of the batch functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -100,17 +112,17 @@ class WaveformParams:
 
 DEFAULT_WAVEFORM = WaveformParams()
 
-# Constellations, unit average power.
-_BPSK_POINTS = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-_QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
-_QAM16_POINTS = np.array(
-    [complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]
-) / math.sqrt(10.0)
-
+# Constellations on the integer grid; ``_CONSTELLATIONS`` scales them to
+# unit average power.
+_INTEGER_POINTS = {
+    ModulationLabel.BPSK: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+    ModulationLabel.QPSK: np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]),
+    ModulationLabel.QAM16: np.array([complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]),
+}
 _CONSTELLATIONS = {
-    ModulationLabel.BPSK: _BPSK_POINTS,
-    ModulationLabel.QPSK: _QPSK_POINTS,
-    ModulationLabel.QAM16: _QAM16_POINTS,
+    ModulationLabel.BPSK: _INTEGER_POINTS[ModulationLabel.BPSK],
+    ModulationLabel.QPSK: _INTEGER_POINTS[ModulationLabel.QPSK] / math.sqrt(2.0),
+    ModulationLabel.QAM16: _INTEGER_POINTS[ModulationLabel.QAM16] / math.sqrt(10.0),
 }
 
 
@@ -123,11 +135,12 @@ def constellation(label: ModulationLabel) -> np.ndarray:
 
 
 def interleave(iq: np.ndarray) -> np.ndarray:
-    """Complex samples -> interleaved I,Q real vector."""
-    out = np.empty(2 * len(iq), dtype=np.float64)
-    out[0::2] = iq.real
-    out[1::2] = iq.imag
-    return out
+    """Complex samples (..., n) -> interleaved I,Q reals (..., 2n).
+
+    A C-contiguous complex128 array viewed as float64 has exactly this
+    layout, so the result shares memory with ``iq`` when ``iq`` is one.
+    """
+    return np.ascontiguousarray(iq, dtype=np.complex128).view(np.float64)
 
 
 def deinterleave(frame: np.ndarray) -> np.ndarray:
@@ -211,50 +224,107 @@ def max_phase_increment(label: ModulationLabel, params: WaveformParams | None = 
     return math.pi * h / sps * worst
 
 
-def _modulate_linear(label: ModulationLabel, params: WaveformParams, seed: int) -> np.ndarray:
+def _exact_grid(matrix: np.ndarray, max_symbol: float) -> np.ndarray:
+    """``matrix`` rounded to the finest power-of-two grid on which
+    ``symbols @ matrix`` is exact for integer symbols up to ``max_symbol``
+    in magnitude.
+
+    Every product and partial sum is then a multiple of the grid step
+    below 2**53 steps, which float64 holds exactly, so the product comes
+    out bit for bit the same in any summation order: whatever the BLAS
+    build, and whichever other frames share the batch. The rounding moves
+    an entry by at most half a step, 2**-52 of the output bound.
+    """
+    bound = max_symbol * np.abs(matrix).sum(axis=0).max()
+    step = 2.0 ** (math.ceil(math.log2(bound)) - 52)
+    return np.round(matrix / step) * step
+
+
+@functools.lru_cache(maxsize=32)
+def _synthesis_matrix(label: ModulationLabel, params: WaveformParams) -> np.ndarray:
+    """(n_symbols, 900) matrix taking one frame's symbols to its samples.
+
+    Row k holds the class's pulse placed at symbol k: the RRC taps for a
+    linear class (complex128, to meet complex symbols in one BLAS call),
+    the frequency pulse scaled by pi*h/sps for a phase class. Row k,
+    column j is ``pulse[len(pulse) - 1 + j - k*sps]`` (0 outside the
+    pulse), which is the fully overlapped ("valid") convolution of the
+    upsampled symbols with the pulse, so ``symbols @ matrix`` shapes a
+    whole class of frames in one product. Entries sit on the exact grid
+    of ``_exact_grid``. Read-only, because it is cached.
+    """
     sps = params.samples_per_symbol
-    n_syms = FRAME_SAMPLES // sps + params.rrc_span_symbols
-    symbols = gen_symbols(label, n_syms, seed)
-    taps = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
-    upsampled = np.zeros(n_syms * sps, dtype=np.complex128)
-    upsampled[::sps] = symbols
-    # "valid" keeps only fully-overlapped outputs, discarding filter transients.
-    shaped = np.convolve(upsampled, taps, mode="valid")
-    return shaped[:FRAME_SAMPLES]
+    if label in LINEAR_LABELS:
+        pulse = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
+        points = _INTEGER_POINTS[label]
+        max_symbol = max(np.abs(points.real).max(), np.abs(points.imag).max())
+    else:
+        pulse, h = _frequency_pulse(label, params)
+        pulse = math.pi * h / sps * pulse
+        max_symbol = 1.0
+    n = len(pulse)
+    n_symbols = FRAME_SAMPLES // sps + -(-(n - 1) // sps)  # ceil division
+    tap = n - 1 + np.arange(FRAME_SAMPLES) - sps * np.arange(n_symbols)[:, None]
+    matrix = np.where((tap >= 0) & (tap < n), pulse[np.clip(tap, 0, n - 1)], 0.0)
+    matrix = _exact_grid(matrix, max_symbol)
+    if label in LINEAR_LABELS:
+        matrix = matrix.astype(np.complex128)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _modulate_phase(label: ModulationLabel, params: WaveformParams, seed: int) -> np.ndarray:
-    sps = params.samples_per_symbol
-    pulse, h = _frequency_pulse(label, params)
-    n_extra = -(-(len(pulse) - 1) // sps)  # ceil division
-    n_syms = FRAME_SAMPLES // sps + n_extra
-    rng = rng_from_seed(seed)
-    symbols = rng.integers(0, 2, size=n_syms) * 2 - 1
-    impulses = np.zeros(n_syms * sps, dtype=np.float64)
-    impulses[::sps] = symbols
-    freq = np.convolve(impulses, pulse, mode="valid")[:FRAME_SAMPLES]
-    phase = np.cumsum(math.pi * h / sps * freq)
-    return np.exp(1j * phase)
+def modulate_batch(
+    label: ModulationLabel, params: WaveformParams | None, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Synthesize one frame per generator: (len(rngs), 1800) float64.
 
-
-def modulate(label: ModulationLabel, params: WaveformParams | None = None, seed: int = 0) -> np.ndarray:
-    """Synthesize one 1800-real frame, RMS complex-sample power normalized to 1."""
+    Frame i draws its symbols from ``rngs[i]`` alone, and its bits do not
+    depend on the other frames of the batch. A linear class computes
+    ``points[symbols] @ T`` with the constellation's integer points (the
+    RMS normalization absorbs their scale); a phase class computes
+    ``exp(1j * cumsum(symbols @ F))``, with ``T`` and ``F`` the cached
+    synthesis matrix of ``(label, params)``. Each frame's RMS
+    complex-sample power is normalized to 1.
+    """
     label = ModulationLabel(label)
     if label == ModulationLabel.NOISE:
         raise ValueError("modulate: the noise class is generated by gen_noise_frame")
     params = params or DEFAULT_WAVEFORM
     params.validate()
+    matrix = _synthesis_matrix(label, params)
+    n_symbols = matrix.shape[0]
 
     if label in LINEAR_LABELS:
-        iq = _modulate_linear(label, params, seed)
+        points = _INTEGER_POINTS[label]
+        symbols = np.array([rng.integers(0, len(points), size=n_symbols) for rng in rngs])
+        iq = points[symbols] @ matrix
     else:
-        iq = _modulate_phase(label, params, seed)
+        symbols = np.array([rng.integers(0, 2, size=n_symbols) * 2.0 - 1.0 for rng in rngs])
+        iq = np.exp(1j * np.cumsum(symbols @ matrix, axis=1))
 
-    iq = iq / np.sqrt(np.mean(np.abs(iq) ** 2))
+    iq /= np.sqrt(np.mean(np.abs(iq) ** 2, axis=1, keepdims=True))
     return interleave(iq)
 
 
+def modulate(label: ModulationLabel, params: WaveformParams | None = None, seed: int = 0) -> np.ndarray:
+    """Synthesize one 1800-real frame, RMS complex-sample power normalized to 1.
+
+    One row of ``modulate_batch``, drawing from the generator keyed by ``seed``.
+    """
+    return modulate_batch(label, params, [rng_from_seed(seed)])[0]
+
+
+def gen_noise_batch(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Noise-class frames, one per generator: (len(rngs), 1800) i.i.d.
+    N(0, 0.5) reals (unit complex variance)."""
+    frames = np.empty((len(rngs), FRAME_LEN))
+    for row, rng in zip(frames, rngs):
+        rng.standard_normal(out=row)
+    frames *= math.sqrt(0.5)
+    return frames
+
+
 def gen_noise_frame(seed: int) -> np.ndarray:
-    """Noise-class frame: 1800 i.i.d. N(0, 0.5) reals (unit complex variance)."""
-    rng = rng_from_seed(seed)
-    return rng.standard_normal(FRAME_LEN) * math.sqrt(0.5)
+    """Noise-class frame: one row of ``gen_noise_batch``, drawing from the
+    generator keyed by ``seed``."""
+    return gen_noise_batch([rng_from_seed(seed)])[0]

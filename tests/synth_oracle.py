@@ -1,0 +1,101 @@
+"""Per-frame synthesis by direct convolution, kept as a test oracle.
+
+``rfmc.sigsynth`` shapes a whole class of frames with one matrix product.
+The functions here build one frame at a time with ``np.convolve``, the
+way the package did before it batched synthesis, and draw from the
+generator they are given exactly as the package does. Fed the same
+generators, they must give the package's frames to within float64
+rounding.
+
+``seedsequence_dataset`` rebuilds, bit for bit, the datasets the package
+wrote while each frame's generator was keyed by a ``SeedSequence`` hash
+of (master seed, class, index, stream).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from rfmc import data
+from rfmc.sigsynth import (
+    FRAME_LEN,
+    FRAME_SAMPLES,
+    LINEAR_LABELS,
+    NUM_CLASSES,
+    ModulationLabel,
+    WaveformParams,
+    _frequency_pulse,
+    constellation,
+    rrc_taps,
+)
+
+
+def _linear(label, params, rng):
+    sps = params.samples_per_symbol
+    n_syms = FRAME_SAMPLES // sps + params.rrc_span_symbols
+    points = constellation(label)
+    symbols = points[rng.integers(0, len(points), size=n_syms)]
+    taps = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
+    upsampled = np.zeros(n_syms * sps, dtype=np.complex128)
+    upsampled[::sps] = symbols
+    return np.convolve(upsampled, taps, mode="valid")[:FRAME_SAMPLES]
+
+
+def _phase(label, params, rng):
+    sps = params.samples_per_symbol
+    pulse, h = _frequency_pulse(label, params)
+    n_syms = FRAME_SAMPLES // sps + -(-(len(pulse) - 1) // sps)
+    symbols = rng.integers(0, 2, size=n_syms) * 2 - 1
+    impulses = np.zeros(n_syms * sps, dtype=np.float64)
+    impulses[::sps] = symbols
+    freq = np.convolve(impulses, pulse, mode="valid")[:FRAME_SAMPLES]
+    return np.exp(1j * np.cumsum(math.pi * h / sps * freq))
+
+
+def modulate(label: ModulationLabel, params: WaveformParams, rng: np.random.Generator) -> np.ndarray:
+    """One interleaved 1800-real frame, RMS complex-sample power 1."""
+    iq = _linear(label, params, rng) if label in LINEAR_LABELS else _phase(label, params, rng)
+    iq = iq / np.sqrt(np.mean(np.abs(iq) ** 2))
+    out = np.empty(FRAME_LEN)
+    out[0::2] = iq.real
+    out[1::2] = iq.imag
+    return out
+
+
+def noise_frame(rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(FRAME_LEN) * math.sqrt(0.5)
+
+
+def awgn(frame: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+    sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    return frame + sigma * rng.standard_normal(frame.shape)
+
+
+def seedsequence_rng(master_seed: int, class_id: int, index: int, stream: int) -> np.random.Generator:
+    """The generator of one frame's stream, keyed by a ``SeedSequence`` hash."""
+    mask = (1 << 128) - 1
+    ss = np.random.SeedSequence((master_seed & mask, class_id, index, stream))
+    key = int(ss.generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def seedsequence_dataset(spec: data.DatasetSpec) -> data.Dataset:
+    """A dataset exactly as the package built it under ``SeedSequence`` keys."""
+    n = spec.frames_per_class
+    frames = np.empty((NUM_CLASSES * n, FRAME_LEN), dtype=np.float32)
+    labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), n)
+    snr_db = np.full(NUM_CLASSES * n, np.nan, dtype=np.float32)
+    for cls in range(NUM_CLASSES):
+        for idx in range(n):
+            row = cls * n + idx
+            rng = seedsequence_rng(spec.master_seed, cls, idx, 0)
+            if cls == ModulationLabel.NOISE:
+                frames[row] = noise_frame(rng)
+                continue
+            snr = spec.snr_grid[idx % len(spec.snr_grid)]
+            clean = modulate(ModulationLabel(cls), spec.waveform, rng)
+            frames[row] = awgn(clean, snr, seedsequence_rng(spec.master_seed, cls, idx, 1))
+            snr_db[row] = snr
+    return data.Dataset(frames, labels, snr_db, provenance=spec)

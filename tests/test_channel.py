@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import synth_oracle
 from rfmc import channel, sigsynth
+from rfmc.seeding import frame_seed
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +54,17 @@ class TestApplyAwgn:
     def test_shape_preserved(self, unit_frame):
         assert channel.apply_awgn(unit_frame, 3.0, seed=0).shape == unit_frame.shape
 
+
+
+class TestApplyAwgnBatch:
+    def test_rows_are_the_oracle_exactly(self, unit_frame):
+        frames = np.stack([unit_frame, -unit_frame, 2 * unit_frame])
+        snrs = [0.0, 7.0, 18.0]
+        noisy = channel.apply_awgn_batch(frames, snrs, [frame_seed(3, 1, i, 1) for i in range(3)])
+        oracle = [synth_oracle.awgn(f, s, frame_seed(3, 1, i, 1))
+                  for i, (f, s) in enumerate(zip(frames, snrs))]
+        assert np.array_equal(noisy, oracle)
+
+    def test_lengths_must_agree(self, unit_frame):
+        with pytest.raises(ValueError):
+            channel.apply_awgn_batch(unit_frame[np.newaxis], [1.0, 2.0], [frame_seed(0, 1, 0, 1)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import socket
+import struct
 import threading
 import time
 
@@ -553,6 +554,21 @@ class TestExitCodes:
                                "--dataset", str(workspace["ds"]))
         assert code == 1
         assert "CRC" in err or "error" in err
+
+    def test_hostile_dataset_header_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "hostile.rfds"
+        bad.write_bytes(b"RFDS" + struct.pack("<HIH", 1, 2**32 - 1, 1800))
+        code, _, err = run_cli(capsys, "eval", "--self-test", "--dataset", str(bad))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_hostile_model_header_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "hostile.rfmc"
+        bad.write_bytes(b"RFMC" + struct.pack("<HBBII", 1, 0, 1, 2**32 - 1, 2**20))
+        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
+                               "--dataset", str(workspace["ds"]))
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

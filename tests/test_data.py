@@ -1,5 +1,7 @@
 """Tests for dataset construction, splitting, and the RFDS file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ class TestBuildDataset:
     def test_frames_shape_and_dtype(self, tiny_dataset):
         assert tiny_dataset.frames.shape == (70, FRAME_LEN)
         assert tiny_dataset.frames.dtype == np.float32
+
+    def test_each_class_is_a_prefix_of_a_larger_dataset(self, tiny_spec):
+        small = data.build_dataset(data.DatasetSpec(4, tiny_spec.snr_grid, master_seed=99))
+        large = data.build_dataset(data.DatasetSpec(9, tiny_spec.snr_grid, master_seed=99))
+        for cls in range(7):
+            for field in ("frames", "snr_db"):
+                head = getattr(large, field)[large.labels == cls][:4]
+                assert np.array_equal(getattr(small, field)[small.labels == cls], head,
+                                      equal_nan=True)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -126,4 +137,10 @@ class TestFileRoundTrip:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedFileError):
+            data.load_dataset(path)
+
+    def test_header_claiming_more_records_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "hostile.rfds"
+        path.write_bytes(b"RFDS" + struct.pack("<HIH", 1, 2**32 - 1, FRAME_LEN) + bytes(64))
+        with pytest.raises(FileFormatError):
             data.load_dataset(path)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import synth_oracle
 from rfmc import sigsynth as ss
+from rfmc.seeding import frame_seed
 from rfmc.sigsynth import ModulationLabel, WaveformParams
 
 ALL_MODULATED = [
@@ -136,6 +138,51 @@ class TestModulate:
             ss.modulate(ModulationLabel.QPSK, seed=1),
             ss.modulate(ModulationLabel.QPSK, seed=2),
         )
+
+
+# Matrix synthesis sums in another order than direct convolution; float64
+# rounding of sums over at most a few hundred unit-scale terms stays far
+# below this.
+ORACLE_TOL = 1e-12
+
+ORACLE_PARAMS = [
+    ss.DEFAULT_WAVEFORM,
+    WaveformParams(samples_per_symbol=30, rrc_rolloff=0.2, rrc_span_symbols=5,
+                   cpm_pulse="rc", cpm_pulse_len_symbols=3, gmsk_bt=0.25),
+]
+
+
+def rngs(label, count, stream=0, master=11):
+    return [frame_seed(master, int(label), idx, stream) for idx in range(count)]
+
+
+class TestBatchSynthesis:
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "custom"])
+    @pytest.mark.parametrize("label", ALL_MODULATED)
+    def test_matches_convolution_oracle(self, label, params):
+        batch = ss.modulate_batch(label, params, rngs(label, 12))
+        oracle = np.array([synth_oracle.modulate(label, params, r) for r in rngs(label, 12)])
+        assert batch.shape == (12, ss.FRAME_LEN)
+        assert np.max(np.abs(batch - oracle)) <= ORACLE_TOL
+
+    def test_single_frame_is_the_oracle_frame(self):
+        oracle = synth_oracle.modulate(
+            ModulationLabel.QAM16, ss.DEFAULT_WAVEFORM, np.random.Generator(np.random.Philox(key=5))
+        )
+        assert np.max(np.abs(ss.modulate(ModulationLabel.QAM16, seed=5) - oracle)) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("label", ALL_MODULATED)
+    def test_row_does_not_depend_on_the_batch(self, label):
+        batch = ss.modulate_batch(label, None, rngs(label, 6))
+        alone = ss.modulate_batch(label, None, rngs(label, 6)[4:5])
+        backwards = ss.modulate_batch(label, None, rngs(label, 6)[::-1])
+        assert np.array_equal(batch[4], alone[0])
+        assert np.array_equal(batch, backwards[::-1])
+
+    def test_noise_batch_is_the_oracle_exactly(self):
+        batch = ss.gen_noise_batch(rngs(ModulationLabel.NOISE, 5))
+        oracle = [synth_oracle.noise_frame(r) for r in rngs(ModulationLabel.NOISE, 5)]
+        assert np.array_equal(batch, oracle)
 
 
 class TestNoiseFrame:
