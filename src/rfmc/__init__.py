@@ -1,26 +1,10 @@
 """RF modulation classifier: synthesis, training, and 16-bit inference."""
 
-from .channel import CLEAN, DEFAULT_SNR_GRID, apply_awgn
+from .channel import CLEAN, DEFAULT_SNR_GRID
 from .data import Dataset, DatasetSpec, build_dataset, load_dataset, save_dataset, split
-from .nn import ARCH, NetworkParams, TrainConfig, classify, forward, train
-from .quant import (
-    FixedPointFormat,
-    QuantizedNetwork,
-    quantize_frame,
-    quantize_network,
-    quantized_forward,
-    quantized_logits,
-)
-from .sigsynth import (
-    FRAME_LEN,
-    FRAME_SAMPLES,
-    LABEL_NAMES,
-    ModulationLabel,
-    WaveformParams,
-    gen_noise_frame,
-    gen_symbols,
-    modulate,
-)
+from .nn import ARCH, NetworkParams, TrainConfig, train
+from .quant import FixedPointFormat, QuantizedNetwork, quantize_network, quantized_logits
+from .sigsynth import FRAME_LEN, FRAME_SAMPLES, LABEL_NAMES, ModulationLabel, WaveformParams
 
 __version__ = "0.1.0"
 
@@ -39,17 +23,9 @@ __all__ = [
     "QuantizedNetwork",
     "TrainConfig",
     "WaveformParams",
-    "apply_awgn",
     "build_dataset",
-    "classify",
-    "forward",
-    "gen_noise_frame",
-    "gen_symbols",
     "load_dataset",
-    "modulate",
-    "quantize_frame",
     "quantize_network",
-    "quantized_forward",
     "quantized_logits",
     "save_dataset",
     "split",

@@ -4,14 +4,14 @@ Frames are pre-generated before any clock starts, so synthesis and input
 quantization never pollute the numbers. ``rfmc bench`` hands both model
 kinds raw int16 frames, quantized under the model's raw format (see
 ``rfmc.model``), so the float and the quantized path are timed on the
-same int16-in path that ``rfmc serve`` runs. Per-frame samples are kept
-on the report for auditing.
+same int16-in path that ``rfmc serve`` runs. Frames are classified one
+at a time in one thread, so each sample is one frame's latency. Per-frame
+samples are kept on the report for auditing.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,6 @@ REFERENCE_LATENCIES = (
 @dataclass
 class LatencyReport:
     path: str
-    threads: int
     min_ns: float
     p50_ns: float
     p99_ns: float
@@ -53,7 +52,6 @@ def bench_inference(
     classifier,
     n_frames: int,
     warmup: int = 100,
-    threads: int = 1,
     frames: list[np.ndarray] | None = None,
     path: str = "float",
 ) -> LatencyReport:
@@ -65,8 +63,6 @@ def bench_inference(
     """
     if n_frames < MIN_FRAMES:
         raise ValueError(f"n_frames must be >= {MIN_FRAMES}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if frames is None:
         frames = gaussian_frames(n_frames)
     if len(frames) < n_frames:
@@ -79,25 +75,16 @@ def bench_inference(
     samples = np.empty(n_frames, dtype=np.int64)
     labels = np.empty(n_frames, dtype=np.int64)
 
-    def run_chunk(indices: np.ndarray) -> None:
-        for i in indices:
-            t0 = time.perf_counter_ns()
-            label = classifier(frames[i])
-            samples[i] = time.perf_counter_ns() - t0
-            labels[i] = label
-
     wall_start = time.perf_counter_ns()
-    if threads == 1:
-        run_chunk(np.arange(n_frames))
-    else:
-        chunks = np.array_split(np.arange(n_frames), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+    for i in range(n_frames):
+        t0 = time.perf_counter_ns()
+        label = classifier(frames[i])
+        samples[i] = time.perf_counter_ns() - t0
+        labels[i] = label
     wall_ns = time.perf_counter_ns() - wall_start
 
     return LatencyReport(
         path=path,
-        threads=threads,
         min_ns=float(samples.min()),
         p50_ns=float(np.percentile(samples, 50)),
         p99_ns=float(np.percentile(samples, 99)),
@@ -132,7 +119,6 @@ def bench_throughput(
 def format_latency_report(report: LatencyReport) -> str:
     lines = [
         f"path {report.path}",
-        f"threads {report.threads}",
         f"frames {len(report.samples_ns)}",
         f"min_us {report.min_ns / 1e3:.2f}",
         f"p50_us {report.p50_ns / 1e3:.2f}",

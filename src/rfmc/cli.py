@@ -170,8 +170,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
 
     report = bench.bench_inference(
-        classifier, args.frames, warmup=args.warmup, threads=args.threads,
-        frames=frames_q, path=path,
+        classifier, args.frames, warmup=args.warmup, frames=frames_q, path=path
     )
     print(bench.format_latency_report(report))
     if args.duration is not None:
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", choices=("float", "quantized"))
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=100)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--duration", type=float, help="also measure sustained throughput (s)")
     p.set_defaults(func=cmd_bench)
 

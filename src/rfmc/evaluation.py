@@ -24,10 +24,6 @@ class EvalReport:
     per_class_error: np.ndarray  # (7,), NaN for classes absent from the data
     by_snr: list[tuple[float, int, float]]  # (snr_db, n, accuracy), sorted
 
-    @property
-    def accuracy_by_snr(self) -> dict[float, float]:
-        return {snr: acc for snr, _, acc in self.by_snr}
-
 
 @dataclass
 class ReportDelta:

@@ -36,7 +36,9 @@ ACC_LIMIT = 1 << 47
 def round_shift(values: np.ndarray, shift: int) -> np.ndarray:
     """Shift right by ``shift`` bits rounding half away from zero.
 
-    Negative ``shift`` means shift left (exact).
+    Negative ``shift`` means shift left (exact). The engine rounds inside
+    ``layer_forward``; this int64 form stays only because the benchmark's
+    tracer self-test targets it.
     """
     v = np.asarray(values, dtype=np.int64)
     if shift == 0:

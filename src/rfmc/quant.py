@@ -51,17 +51,8 @@ class FixedPointFormat:
         return (2.0**15 - 1) / self.scale
 
 
-def quantize_value(x: float, fmt: FixedPointFormat) -> int:
-    """round(x * 2**frac) half away from zero, saturated to int16."""
-    if not math.isfinite(x):
-        raise ValueError("cannot quantize a non-finite value")
-    scaled = math.floor(abs(x) * fmt.scale + 0.5)
-    q = scaled if x >= 0 else -scaled
-    return max(INT16_MIN, min(INT16_MAX, q))
-
-
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Vectorized quantize_value; returns int16.
+    """round(x * 2**frac) half away from zero, saturated to int16, elementwise.
 
     Works in place on one float64 copy: scaling by a power of two is
     exact, and adding a half of the value's own sign before truncating
@@ -77,12 +68,8 @@ def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     return x.astype(np.int16)
 
 
-def dequantize_value(q: int, fmt: FixedPointFormat) -> float:
-    """Exact: q / 2**frac."""
-    return q / fmt.scale
-
-
 def dequantize_array(q: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+    """Exact: q / 2**frac, as float64."""
     return np.asarray(q, dtype=np.float64) / fmt.scale
 
 
@@ -211,7 +198,11 @@ def quantize_network(params: NetworkParams, calibration: np.ndarray) -> Quantize
 
 
 def quantize_frame(frame: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Quantize a 1800-real frame (or any flat frame) to int16."""
+    """Quantize a 1800-real frame (or any flat frame) to int16.
+
+    No program path calls it (they quantize batches with
+    ``quantize_array``); it stays because the benchmark traces it.
+    """
     frame = np.asarray(frame)
     if frame.ndim != 1:
         raise ValueError("frame must be a flat vector")
@@ -251,7 +242,8 @@ def quantized_forward(qnet: QuantizedNetwork, frame_q: np.ndarray) -> tuple[np.n
     """Integer forward pass of one frame: (int logits, label).
 
     The one-row case of ``quantized_logits``; ``frame_q`` must be int16
-    of shape ``(n_in,)``.
+    of shape ``(n_in,)``. No program path calls it; it stays because the
+    benchmark traces it and checks its logits against an int64 oracle.
     """
     frame_q = np.asarray(frame_q)
     n_in = qnet.weights[0].shape[1]

@@ -13,8 +13,9 @@ symbol), or the frequency-pulse matrix scaled by pi*h/sps of a phase
 class. Its entries sit on a power-of-two grid on which the product with
 integer symbols is exact, so each frame is a pure function of (label,
 params, the generator it draws from): its bits depend neither on the BLAS
-build nor on the other frames of its batch. ``modulate`` and
-``gen_noise_frame`` are one-row calls of the batch functions.
+build nor on the other frames of its batch. ``data.build_dataset`` runs
+the batch functions; ``modulate`` and ``gen_noise_frame`` are their
+one-row calls, kept only because the benchmark traces them.
 """
 
 from __future__ import annotations
@@ -47,18 +48,10 @@ LABEL_NAMES = ("noise", "BPSK", "QPSK", "CPM", "GFSK", "QAM16", "GMSK")
 NUM_CLASSES = len(LABEL_NAMES)
 
 LINEAR_LABELS = (ModulationLabel.BPSK, ModulationLabel.QPSK, ModulationLabel.QAM16)
-PHASE_LABELS = (ModulationLabel.CPM, ModulationLabel.GFSK, ModulationLabel.GMSK)
 
 
 def label_name(label: int) -> str:
     return LABEL_NAMES[int(label)]
-
-
-def label_from_name(name: str) -> ModulationLabel:
-    try:
-        return ModulationLabel(LABEL_NAMES.index(name))
-    except ValueError:
-        raise ValueError(f"unknown modulation name: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -112,28 +105,13 @@ class WaveformParams:
 
 DEFAULT_WAVEFORM = WaveformParams()
 
-# Constellations on the integer grid; ``_CONSTELLATIONS`` scales them to
-# unit average power.
+# Constellations on the integer grid; the RMS normalization of each
+# frame absorbs their scale.
 _INTEGER_POINTS = {
     ModulationLabel.BPSK: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
     ModulationLabel.QPSK: np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]),
     ModulationLabel.QAM16: np.array([complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]),
 }
-_CONSTELLATIONS = {
-    ModulationLabel.BPSK: _INTEGER_POINTS[ModulationLabel.BPSK],
-    ModulationLabel.QPSK: _INTEGER_POINTS[ModulationLabel.QPSK] / math.sqrt(2.0),
-    ModulationLabel.QAM16: _INTEGER_POINTS[ModulationLabel.QAM16] / math.sqrt(10.0),
-}
-
-
-def constellation(label: ModulationLabel) -> np.ndarray:
-    """Unit-average-power constellation of a linear modulation."""
-    try:
-        return _CONSTELLATIONS[ModulationLabel(label)].copy()
-    except KeyError:
-        raise ValueError(f"{label_name(label)} has no constellation") from None
-
-
 def interleave(iq: np.ndarray) -> np.ndarray:
     """Complex samples (..., n) -> interleaved I,Q reals (..., 2n).
 
@@ -141,24 +119,6 @@ def interleave(iq: np.ndarray) -> np.ndarray:
     layout, so the result shares memory with ``iq`` when ``iq`` is one.
     """
     return np.ascontiguousarray(iq, dtype=np.complex128).view(np.float64)
-
-
-def deinterleave(frame: np.ndarray) -> np.ndarray:
-    """Interleaved I,Q real vector -> complex samples."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return frame[0::2] + 1j * frame[1::2]
-
-
-def gen_symbols(label: ModulationLabel, n_symbols: int, seed: int) -> np.ndarray:
-    """Draw ``n_symbols`` i.i.d. uniform points from a linear constellation."""
-    label = ModulationLabel(label)
-    if label not in LINEAR_LABELS:
-        raise ValueError(f"gen_symbols: {label_name(label)} is not a linear modulation")
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
-    points = _CONSTELLATIONS[label]
-    rng = rng_from_seed(seed)
-    return points[rng.integers(0, len(points), size=n_symbols)]
 
 
 def rrc_taps(sps: int, span_symbols: int, rolloff: float) -> np.ndarray:
@@ -206,22 +166,6 @@ def _frequency_pulse(label: ModulationLabel, params: WaveformParams) -> tuple[np
     # NRZ shaping folded into the pulse: rect(sps) * gaussian, sum = sps.
     pulse = np.convolve(np.ones(sps), gauss)
     return pulse, params.fsk_dev_index
-
-
-def max_phase_increment(label: ModulationLabel, params: WaveformParams | None = None) -> float:
-    """Analytic per-sample bound on |phase difference| for a CPM-family label.
-
-    Worst case is an all-ones symbol stream: pi*h/sps times the largest
-    stride-sps sum of the frequency pulse.
-    """
-    params = params or DEFAULT_WAVEFORM
-    label = ModulationLabel(label)
-    if label not in PHASE_LABELS:
-        raise ValueError(f"{label_name(label)} is not phase-modulated")
-    pulse, h = _frequency_pulse(label, params)
-    sps = params.samples_per_symbol
-    worst = max(pulse[r::sps].sum() for r in range(sps))
-    return math.pi * h / sps * worst
 
 
 def _exact_grid(matrix: np.ndarray, max_symbol: float) -> np.ndarray:
@@ -309,7 +253,9 @@ def modulate_batch(
 def modulate(label: ModulationLabel, params: WaveformParams | None = None, seed: int = 0) -> np.ndarray:
     """Synthesize one 1800-real frame, RMS complex-sample power normalized to 1.
 
-    One row of ``modulate_batch``, drawing from the generator keyed by ``seed``.
+    One row of ``modulate_batch``, drawing from the generator keyed by
+    ``seed``. No program path calls it; it stays because the benchmark
+    traces it.
     """
     return modulate_batch(label, params, [rng_from_seed(seed)])[0]
 
@@ -326,5 +272,6 @@ def gen_noise_batch(rngs: Sequence[np.random.Generator]) -> np.ndarray:
 
 def gen_noise_frame(seed: int) -> np.ndarray:
     """Noise-class frame: one row of ``gen_noise_batch``, drawing from the
-    generator keyed by ``seed``."""
+    generator keyed by ``seed``. No program path calls it; it stays because
+    the benchmark traces it."""
     return gen_noise_batch([rng_from_seed(seed)])[0]

@@ -12,8 +12,7 @@ from rfmc import data, nn, quant
 def small_pipeline():
     """Small but real pipeline: dataset, split, trained net, quantized net.
 
-    Sized for speed, not the acceptance accuracy bar (that runs at full
-    scale in test_acceptance.py).
+    Sized for speed, not for the accuracy of a default-spec model.
     """
     spec = data.DatasetSpec(
         frames_per_class=150,

@@ -5,7 +5,9 @@ The functions here build one frame at a time with ``np.convolve``, the
 way the package did before it batched synthesis, and draw from the
 generator they are given exactly as the package does. Fed the same
 generators, they must give the package's frames to within float64
-rounding.
+rounding. The module also holds the unit-power constellations,
+``deinterleave`` and the analytic phase-increment bound
+``max_phase_increment``, which the synthesis tests check frames against.
 
 ``seedsequence_dataset`` rebuilds, bit for bit, the datasets the package
 wrote while each frame's generator was keyed by a ``SeedSequence`` hash
@@ -20,6 +22,7 @@ import numpy as np
 
 from rfmc import data
 from rfmc.sigsynth import (
+    DEFAULT_WAVEFORM,
     FRAME_LEN,
     FRAME_SAMPLES,
     LINEAR_LABELS,
@@ -27,16 +30,62 @@ from rfmc.sigsynth import (
     ModulationLabel,
     WaveformParams,
     _frequency_pulse,
-    constellation,
+    label_name,
     rrc_taps,
 )
+
+PHASE_LABELS = (ModulationLabel.CPM, ModulationLabel.GFSK, ModulationLabel.GMSK)
+
+# Unit-average-power constellations, in the package's point order.
+_CONSTELLATIONS = {
+    ModulationLabel.BPSK: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+    ModulationLabel.QPSK: np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0),
+    ModulationLabel.QAM16: np.array(
+        [complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]
+    ) / math.sqrt(10.0),
+}
+
+
+def constellation(label: ModulationLabel) -> np.ndarray:
+    """Unit-average-power constellation of a linear modulation."""
+    try:
+        return _CONSTELLATIONS[ModulationLabel(label)].copy()
+    except KeyError:
+        raise ValueError(f"{label_name(label)} has no constellation") from None
+
+
+def gen_symbols(label: ModulationLabel, n_symbols: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n_symbols`` i.i.d. uniform points from a linear constellation."""
+    points = constellation(label)
+    return points[rng.integers(0, len(points), size=n_symbols)]
+
+
+def deinterleave(frame: np.ndarray) -> np.ndarray:
+    """Interleaved I,Q real vector -> complex samples."""
+    frame = np.asarray(frame, dtype=np.float64)
+    return frame[0::2] + 1j * frame[1::2]
+
+
+def max_phase_increment(label: ModulationLabel, params: WaveformParams | None = None) -> float:
+    """Analytic per-sample bound on |phase difference| for a CPM-family label.
+
+    Worst case is an all-ones symbol stream: pi*h/sps times the largest
+    stride-sps sum of the frequency pulse.
+    """
+    params = params or DEFAULT_WAVEFORM
+    label = ModulationLabel(label)
+    if label not in PHASE_LABELS:
+        raise ValueError(f"{label_name(label)} is not phase-modulated")
+    pulse, h = _frequency_pulse(label, params)
+    sps = params.samples_per_symbol
+    worst = max(pulse[r::sps].sum() for r in range(sps))
+    return math.pi * h / sps * worst
 
 
 def _linear(label, params, rng):
     sps = params.samples_per_symbol
     n_syms = FRAME_SAMPLES // sps + params.rrc_span_symbols
-    points = constellation(label)
-    symbols = points[rng.integers(0, len(points), size=n_syms)]
+    symbols = gen_symbols(label, n_syms, rng)
     taps = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
     upsampled = np.zeros(n_syms * sps, dtype=np.complex128)
     upsampled[::sps] = symbols

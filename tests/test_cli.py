@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import model_oracle
 from rfmc import cli, data, fileio, model, nn, quant, stream
 from rfmc.model import RAW_FLOAT_FORMAT
 from rfmc.seeding import split_seed
@@ -538,7 +539,7 @@ class TestServe:
             replies = self.send_frames(server.address, blob, 12, chunk=1001)
         finally:
             server.stop()
-        expected = [nn.classify(params, quant.dequantize_array(f, RAW_FLOAT_FORMAT))
+        expected = [model_oracle.classify(params, quant.dequantize_array(f, RAW_FLOAT_FORMAT))
                     for f in frames]
         assert list(replies[0::2]) == expected
         assert set(replies[1::2]) == {PATH_FLOAT}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracle import quantize_value
 from rfmc import model, nn, quant
 from rfmc.kernels import ACC_LIMIT, INT16_MAX, INT16_MIN
 from rfmc.quant import FixedPointFormat, QuantizedNetwork
@@ -61,57 +62,59 @@ def per_neuron_accumulators(qnet: QuantizedNetwork, frame_q: np.ndarray) -> list
 
 
 class TestQuantizeValue:
+    """The scalar quantizer that ``quantize_array`` is checked against."""
+
     def test_zero(self):
-        assert quant.quantize_value(0.0, FixedPointFormat(7)) == 0
+        assert quantize_value(0.0, FixedPointFormat(7)) == 0
 
     def test_unit_at_q14(self):
-        assert quant.quantize_value(1.0, FixedPointFormat(14)) == 16384
+        assert quantize_value(1.0, FixedPointFormat(14)) == 16384
 
     def test_saturates_high(self):
-        assert quant.quantize_value(10.0, FixedPointFormat(14)) == 32767
+        assert quantize_value(10.0, FixedPointFormat(14)) == 32767
 
     def test_saturates_low(self):
-        assert quant.quantize_value(-10.0, FixedPointFormat(14)) == -32768
+        assert quantize_value(-10.0, FixedPointFormat(14)) == -32768
 
     def test_half_away_from_zero(self):
         fmt = FixedPointFormat(1)
-        assert quant.quantize_value(0.25, fmt) == 1    # 0.5 scaled -> away
-        assert quant.quantize_value(-0.25, fmt) == -1
+        assert quantize_value(0.25, fmt) == 1    # 0.5 scaled -> away
+        assert quantize_value(-0.25, fmt) == -1
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            quant.quantize_value(float("nan"), FixedPointFormat(3))
+            quantize_value(float("nan"), FixedPointFormat(3))
 
     @given(frac=FORMATS, x=st.floats(-10.0, 10.0, allow_nan=False))
     @settings(max_examples=300, deadline=None)
     def test_monotonic(self, frac, x):
         fmt = FixedPointFormat(frac)
         eps = 2.0 ** (-frac) / 3
-        assert quant.quantize_value(x, fmt) <= quant.quantize_value(x + eps, fmt)
+        assert quantize_value(x, fmt) <= quantize_value(x + eps, fmt)
 
 
 class TestDequantizeValue:
     def test_unit(self):
-        assert quant.dequantize_value(16384, FixedPointFormat(14)) == 1.0
+        assert quant.dequantize_array(16384, FixedPointFormat(14)) == 1.0
 
     def test_range_edge(self):
-        assert quant.dequantize_value(-32768, FixedPointFormat(14)) == -2.0
+        assert quant.dequantize_array(-32768, FixedPointFormat(14)) == -2.0
 
     @given(frac=FORMATS, data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_round_trip_bound_in_range(self, frac, data):
         fmt = FixedPointFormat(frac)
         x = data.draw(st.floats(fmt.min_value, fmt.max_value, allow_nan=False))
-        back = quant.dequantize_value(quant.quantize_value(x, fmt), fmt)
+        back = quant.dequantize_array(quant.quantize_array(x, fmt), fmt)
         assert abs(x - back) <= 2.0 ** (-frac - 1)
 
     def test_saturation_edges_exact(self):
         for frac in range(16):
             fmt = FixedPointFormat(frac)
-            assert quant.quantize_value(fmt.max_value, fmt) == 32767
-            assert quant.quantize_value(fmt.min_value, fmt) == -32768
-            assert quant.dequantize_value(-32768, fmt) == fmt.min_value
-            assert quant.dequantize_value(32767, fmt) == fmt.max_value
+            assert quantize_value(fmt.max_value, fmt) == 32767
+            assert quantize_value(fmt.min_value, fmt) == -32768
+            assert quant.dequantize_array(-32768, fmt) == fmt.min_value
+            assert quant.dequantize_array(32767, fmt) == fmt.max_value
 
 
 class TestChooseFormats:
@@ -201,7 +204,7 @@ class TestQuantizeArray:
             ])
             got = quant.quantize_array(values, fmt)
             assert got.dtype == np.int16
-            assert got.tolist() == [quant.quantize_value(float(v), fmt) for v in values]
+            assert got.tolist() == [quantize_value(float(v), fmt) for v in values]
 
     def test_shape_kept_and_input_untouched(self):
         x = np.random.default_rng(3).standard_normal((4, 5))
@@ -214,7 +217,7 @@ class TestQuantizeArray:
         x = np.random.default_rng(4).standard_normal(300).astype(np.float32)
         fmt = FixedPointFormat(13)
         assert quant.quantize_array(x, fmt).tolist() == [
-            quant.quantize_value(float(v), fmt) for v in x
+            quantize_value(float(v), fmt) for v in x
         ]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
