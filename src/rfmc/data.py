@@ -1,7 +1,8 @@
 """Labeled (frame, label, snr) datasets: build, split, save, load.
 
 Each frame draws from its own counter-keyed Philox streams
-(``seeding.frame_seed``): stream 0 gives the symbols (or the noise-class
+(``seeding.frame_seed``, taken a class at a time through
+``seeding.FrameStreams``): stream 0 gives the symbols (or the noise-class
 samples), stream 1 the channel noise, each keyed by the master seed with
 the counter starting at (0, index, class, stream). So a frame is a pure
 function of (master seed, class, index, stream): generation order never
@@ -12,7 +13,8 @@ as f32; noise-class records carry an n/a flag instead of an SNR.
 
 File layout (little-endian): magic "RFDS" | version u16 | record count
 u32 | frame length u16 | records (label u8, snr flag u8 0=valid 1=n/a,
-snr_db f32, frame 1800 x f32) | CRC32 of the records, u32.
+snr_db f32, frame 1800 x f32) | CRC32 of the records, u32, which ends the
+file.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, sigsynth
-from .fileio import ChecksumError, FileFormatError, read_exact
-from .seeding import frame_seed, rng_from_seed
+from .fileio import ChecksumError, FileFormatError, read_checksum, read_exact
+from .seeding import FrameStreams, rng_from_seed
+from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel, WaveformParams
 
 DATASET_MAGIC = b"RFDS"
@@ -92,13 +95,13 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     grid = spec.snr_grid
     for cls in range(NUM_CLASSES):
         rows = slice(cls * per_class, (cls + 1) * per_class)
-        rngs = [frame_seed(spec.master_seed, cls, idx, stream=0) for idx in range(per_class)]
+        rngs = FrameStreams(spec.master_seed, cls, per_class, stream=0)
         if cls == ModulationLabel.NOISE:
             frames[rows] = sigsynth.gen_noise_batch(rngs)
             continue
         snrs = [grid[idx % len(grid)] for idx in range(per_class)]
         clean = sigsynth.modulate_batch(ModulationLabel(cls), spec.waveform, rngs)
-        noise_rngs = [frame_seed(spec.master_seed, cls, idx, stream=1) for idx in range(per_class)]
+        noise_rngs = FrameStreams(spec.master_seed, cls, per_class, stream=1)
         frames[rows] = channel.apply_awgn_batch(clean, snrs, noise_rngs)
         snr_db[rows] = snrs
     return Dataset(frames, labels, snr_db, provenance=spec)
@@ -163,18 +166,15 @@ def load_dataset(path: str) -> Dataset:
         if frame_len != FRAME_LEN:
             raise FileFormatError(f"unexpected frame length {frame_len}")
         body = read_exact(f, count * _RECORD_DTYPE.itemsize, "records")
-        (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
+        stored = read_checksum(f)
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(f"dataset CRC mismatch: stored {stored:#x}, computed {actual:#x}")
 
     records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=count)
-    snr = records["snr_db"].astype(np.float32).copy()
+    # astype copies, into arrays that own writable memory
+    snr = records["snr_db"].astype(np.float32)
     snr[records["snr_flag"] != 0] = np.nan
-    ds = Dataset(
-        records["frame"].astype(np.float32).copy(),
-        records["label"].astype(np.uint8).copy(),
-        snr,
-    )
+    ds = Dataset(records["frame"].astype(np.float32), records["label"].astype(np.uint8), snr)
     ds.validate()
     return ds

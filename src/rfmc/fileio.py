@@ -8,14 +8,15 @@ Layout (all little-endian):
   quantized body:  per layer: weight frac_bits u8, activation frac_bits u8,
                    bias shift u8 (= weight_frac + act_frac), weights int16
                    row-major, biases int32 (pre-aligned at the bias shift)
-  trailer: CRC32 of the body, u32
+  trailer: CRC32 of the body, u32, which ends the file
 
 Corruption, truncation, and unknown formats raise distinct exceptions so
 callers can report them separately. Headers come from outside the
 program: layer dims must chain, and every size a header claims is checked
 against the size of the file before it is read, so a hostile header ends
 in a ``FileFormatError`` (``TruncatedFileError`` is one), never in an
-allocation of the size it claims.
+allocation of the size it claims. Bytes after the trailer are a
+``FileFormatError`` too.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def read_checksum(f: BinaryIO) -> int:
+    """Read the CRC32 trailer, which must end the file."""
+    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
+    return stored
+
+
 def _write_header(f: BinaryIO, kind: int, dims: list[tuple[int, int]]) -> None:
     f.write(MODEL_MAGIC)
     f.write(struct.pack("<HBB", MODEL_VERSION, kind, len(dims)))
@@ -107,7 +117,7 @@ def _write_body(f: BinaryIO, body: bytes) -> None:
 
 def _read_body(f: BinaryIO, size: int) -> bytes:
     body = read_exact(f, size, "model body")
-    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
+    stored = read_checksum(f)
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(f"model body CRC mismatch: stored {stored:#x}, computed {actual:#x}")

@@ -13,6 +13,11 @@ triples are disjoint for the first 2**64 blocks (2**66 raw 64-bit draws)
 of each. A frame's randomness is therefore a pure function of
 (master seed, class, index, stream), whatever order frames are made in,
 and no hash is computed to find it.
+
+``frame_seed`` builds one frame's generator. ``FrameStreams`` gives the
+same streams for a run of frames more cheaply: constructing a ``Philox``
+draws OS entropy for a seed sequence that the key then overrides, while
+re-keying one generator through its ``state`` does not.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -42,3 +48,41 @@ def frame_seed(master_seed: int, class_id: int, frame_index: int, stream: int = 
     """
     counter = np.array([0, frame_index, class_id, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=master_seed & KEY_MASK, counter=counter))
+
+
+class FrameStreams:
+    """The streams ``frame_seed(master_seed, class_id, i, stream)`` of frames
+    ``i = 0 .. n - 1``, as one generator re-keyed as it is iterated.
+
+    Iteration yields that one generator ``n`` times, set to frame ``i``'s
+    stream just before the ``i``-th yield, so each frame's draws must be
+    taken before the iteration moves on, as ``sigsynth.modulate_batch``,
+    ``sigsynth.gen_noise_batch`` and ``channel.apply_awgn_batch`` take them.
+    """
+
+    def __init__(self, master_seed: int, class_id: int, n: int, stream: int = 0) -> None:
+        key = master_seed & KEY_MASK
+        self._key = np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64)
+        self._class_id = class_id
+        self._n = n
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        bit_gen = np.random.Philox(0)
+        generator = np.random.Generator(bit_gen)
+        counter = np.array([0, 0, self._class_id, self._stream], dtype=np.uint64)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,  # the buffer is empty, as in a new generator
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for index in range(self._n):
+            counter[1] = index
+            bit_gen.state = state  # copied in, so ``counter`` can change next
+            yield generator

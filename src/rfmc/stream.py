@@ -8,13 +8,17 @@ complete; a connection that closes mid-frame is logged and dropped
 without disturbing other connections.
 
 One thread runs one ``selectors`` loop over the listener and every
-connection. After each ``recv`` it classifies every complete frame in
-that connection's buffer in one batched call and queues the batch's
-replies as one write. Sockets are non-blocking with ``TCP_NODELAY`` set,
-so a reply leaves as soon as it is written. Replies a client has not
-read wait in a per-connection buffer; once that holds
+connection, one batch per select round: the loop does one ``recv`` on
+each connection the round finds readable, classifies the complete frames
+of all of them in one batched call, and queues each connection's replies,
+in its frames' arrival order, as one write. Only then does it send and
+update the selector for each connection. Sockets are non-blocking with
+``TCP_NODELAY`` set, so a reply leaves as soon as it is written. Replies
+a client has not read wait in a per-connection buffer; once that holds
 ``MAX_PENDING_REPLY_BYTES`` the connection is not read until it drains,
 so a client that never reads cannot stall the loop or grow the buffer.
+A round's batch runs in slices of ``model.LOGITS_SLICE`` frames, so its
+working memory stays bounded however many connections are ready.
 
 What the integers mean is defined in ``rfmc.model``: a quantized model
 reads them under its own input format, a float model as Q2.13
@@ -67,7 +71,7 @@ class _Connection:
 
 
 class StreamServer:
-    """Single-threaded TCP server: one selector loop, one batch per recv."""
+    """Single-threaded TCP server: one selector loop, one batch per select round."""
 
     def __init__(self, net, host: str = "127.0.0.1", port: int = 0):
         self._classify, self.path_byte = make_raw_classifier(net)
@@ -95,14 +99,50 @@ class StreamServer:
             sel.register(self._listener, selectors.EVENT_READ)
             try:
                 while not self._stopping.is_set():
-                    for key, events in sel.select(POLL_S):
-                        if key.data is None:
-                            self._accept(sel)
-                        else:
-                            self._service(sel, key.fileobj, key.data, events)
+                    self._round(sel, sel.select(POLL_S))
             finally:
                 for key in list(sel.get_map().values()):
                     key.fileobj.close()
+
+    def _round(self, sel: selectors.BaseSelector, ready) -> None:
+        """Read every ready connection, classify all their frames in one batch, then write."""
+        live, batch = [], []
+        for key, events in ready:
+            if key.data is None:
+                self._accept(sel)
+                continue
+            conn, state = key.fileobj, key.data
+            if events & selectors.EVENT_READ:
+                try:
+                    frames = self._receive(conn, state)
+                except BlockingIOError:
+                    frames = None
+                except OSError as exc:
+                    self._drop(sel, conn, state, exc)
+                    continue
+                if frames is not None:
+                    batch.append((state, frames))
+            live.append((conn, state))
+        if batch:
+            self._reply(batch)
+        for conn, state in live:
+            self._send(sel, conn, state)
+
+    def _reply(self, batch: list[tuple[_Connection, np.ndarray]]) -> None:
+        """Classify every connection's frames together; queue each its own replies."""
+        frames = np.concatenate([frames for _, frames in batch])
+        replies = np.empty((len(frames), 2), np.uint8)
+        replies[:, 0] = np.concatenate([
+            self._classify(frames[i : i + model.LOGITS_SLICE])
+            for i in range(0, len(frames), model.LOGITS_SLICE)
+        ])
+        replies[:, 1] = self.path_byte
+        blob = replies.tobytes()
+        start = 0
+        for state, frames in batch:
+            end = start + 2 * len(frames)
+            state.outbox += blob[start:end]
+            start = end
 
     def _accept(self, sel: selectors.BaseSelector) -> None:
         try:
@@ -116,17 +156,15 @@ class StreamServer:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sel.register(conn, selectors.EVENT_READ, _Connection(addr))
 
-    def _service(self, sel, conn: socket.socket, state: _Connection, events: int) -> None:
+    def _send(self, sel, conn: socket.socket, state: _Connection) -> None:
+        """Send what the socket takes, then close or re-register the connection."""
         try:
-            if events & selectors.EVENT_READ:
-                self._receive(conn, state)
             if state.outbox:
                 del state.outbox[: conn.send(state.outbox)]
         except BlockingIOError:
             pass
         except OSError as exc:
-            logger.warning("%s dropped: %s", state.addr, exc)
-            self._close(sel, conn)
+            self._drop(sel, conn, state, exc)
             return
         if state.eof and not state.outbox:
             self._close(sel, conn)
@@ -139,8 +177,8 @@ class StreamServer:
         if wanted != sel.get_key(conn).events:
             sel.modify(conn, wanted, state)
 
-    def _receive(self, conn: socket.socket, state: _Connection) -> None:
-        """One recv; classify every complete frame it completes as one batch."""
+    def _receive(self, conn: socket.socket, state: _Connection) -> np.ndarray | None:
+        """One recv; the complete frames it completes as (n, 1800) int16, or None."""
         data = conn.recv(RECV_BYTES)
         if not data:
             state.eof = True
@@ -149,18 +187,19 @@ class StreamServer:
                     "%s closed mid-frame: %d residual bytes dropped",
                     state.addr, len(state.inbox),
                 )
-            return
+            return None
         state.inbox += data
         n_frames = len(state.inbox) // FRAME_BYTES
         if not n_frames:
-            return
+            return None
         complete = state.inbox[: n_frames * FRAME_BYTES]
         del state.inbox[: n_frames * FRAME_BYTES]
-        frames = np.frombuffer(complete, "<i2").reshape(n_frames, FRAME_BYTES // 2)
-        replies = np.empty((n_frames, 2), np.uint8)
-        replies[:, 0] = self._classify(frames)
-        replies[:, 1] = self.path_byte
-        state.outbox += replies.tobytes()
+        return np.frombuffer(complete, "<i2").reshape(n_frames, FRAME_BYTES // 2)
+
+    def _drop(self, sel, conn: socket.socket, state: _Connection, exc: OSError) -> None:
+        """Log why a connection failed and close it."""
+        logger.warning("%s dropped: %s", state.addr, exc)
+        self._close(sel, conn)
 
     @staticmethod
     def _close(sel: selectors.BaseSelector, conn: socket.socket) -> None:

@@ -278,20 +278,24 @@ class TestClassify:
 
 
 class TestServe:
-    def send_frames(self, address, frames_blob, n_replies, chunk=None):
+    @staticmethod
+    def read_replies(sock, n_replies):
         replies = b""
+        while len(replies) < 2 * n_replies:
+            got = sock.recv(4096)
+            if not got:
+                break
+            replies += got
+        return replies
+
+    def send_frames(self, address, frames_blob, n_replies, chunk=None):
         with socket.create_connection(address, timeout=SOCKET_TIMEOUT_S) as sock:
             if chunk is None:
                 sock.sendall(frames_blob)
             else:
                 for start in range(0, len(frames_blob), chunk):
                     sock.sendall(frames_blob[start : start + chunk])
-            while len(replies) < 2 * n_replies:
-                got = sock.recv(4096)
-                if not got:
-                    break
-                replies += got
-        return replies
+            return self.read_replies(sock, n_replies)
 
     def test_single_frame_two_byte_reply(self, workspace):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
@@ -528,6 +532,92 @@ class TestServe:
             server.stop()
         assert threading.active_count() == before
 
+    def hold_first_batch(self, server):
+        """Wrap ``server``'s classifier so it records every batch size and
+        holds its first call until the returned ``release`` event is set;
+        ``entered`` is set once that first call has begun."""
+        inner = server._classify
+        sizes, entered, release = [], threading.Event(), threading.Event()
+
+        def recording(frames_q):
+            sizes.append(len(frames_q))
+            if len(sizes) == 1:
+                entered.set()
+                release.wait(SOCKET_TIMEOUT_S)
+            return inner(frames_q)
+
+        server._classify = recording
+        return sizes, entered, release
+
+    @pytest.mark.parametrize("logits_slice, batches", [(None, [1, 4]), (3, [1, 3, 1])],
+                             ids=["one_call", "sliced"])
+    def test_ready_connections_share_one_batch(self, workspace, monkeypatch,
+                                               logits_slice, batches):
+        if logits_slice is not None:
+            monkeypatch.setattr(model, "LOGITS_SLICE", logits_slice)
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 5, seed=12)
+        blobs = [f.astype("<i2").tobytes() for f in frames]
+        labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
+        server = StreamServer(qnet)
+        sizes, entered, release = self.hold_first_batch(server)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as a, \
+                 socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as b:
+                a.sendall(blobs[0])
+                assert entered.wait(SOCKET_TIMEOUT_S)
+                # while the loop is held, both clients send two more frames
+                a.sendall(blobs[1] + blobs[2])
+                b.sendall(blobs[3] + blobs[4])
+                time.sleep(0.2)
+                release.set()
+                replies_a = self.read_replies(a, 3)
+                replies_b = self.read_replies(b, 2)
+        finally:
+            release.set()
+            server.stop()
+        assert sizes == batches
+        assert list(replies_a[0::2]) == labels[:3]
+        assert list(replies_b[0::2]) == labels[3:]
+        assert set(replies_a[1::2] + replies_b[1::2]) == {PATH_QUANTIZED}
+
+    @pytest.mark.parametrize("b_sends", [0, 1], ids=["fails_on_recv", "fails_on_send"])
+    def test_connection_error_mid_round_spares_the_others(self, workspace, caplog, b_sends):
+        # Client b resets its connection while the loop is held. With no
+        # frame sent, the round's recv on b fails; with one, the recv
+        # returns it, b's frame joins the round's batch and the send of its
+        # reply fails. Either way a is answered in full.
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = self.random_frames(qnet, 4, seed=13)
+        blobs = [f.astype("<i2").tobytes() for f in frames]
+        labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
+        server = StreamServer(qnet)
+        sizes, entered, release = self.hold_first_batch(server)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as a, \
+                 socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as b:
+                a.sendall(blobs[0])
+                assert entered.wait(SOCKET_TIMEOUT_S)
+                a.sendall(blobs[1] + blobs[2])
+                b.sendall(blobs[3] * b_sends)
+                b.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                b.close()  # a reset, not an orderly close
+                time.sleep(0.2)
+                with caplog.at_level("WARNING", logger="rfmc.stream"):
+                    release.set()
+                    replies_a = self.read_replies(a, 3)
+                    # the loop still serves a fresh connection afterwards
+                    fresh = self.send_frames(server.address, blobs[3], 1)
+        finally:
+            release.set()
+            server.stop()
+        assert sizes == [1, 2 + b_sends, 1]
+        assert list(replies_a[0::2]) == labels[:3]
+        assert fresh == bytes((labels[3], PATH_QUANTIZED))
+        assert any("dropped" in r.getMessage() for r in caplog.records)
+
     def test_float_model_replies_float_labels(self, workspace):
         params = fileio.load_float_model(workspace["model"])
         qnet = fileio.load_quantized_model(workspace["qmodel"])
@@ -570,6 +660,23 @@ class TestExitCodes:
                                "--dataset", str(workspace["ds"]))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_model_with_appended_bytes_exits_1(self, workspace, tmp_path, capsys, kind):
+        bad = tmp_path / "appended.rfmc"
+        bad.write_bytes(workspace[kind].read_bytes() + b"junk")
+        code, _, err = run_cli(capsys, "eval", "--model", str(bad),
+                               "--dataset", str(workspace["ds"]))
+        assert code == 1
+        assert err.startswith("error:") and "after the checksum trailer" in err
+
+    def test_dataset_with_appended_bytes_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "appended.rfds"
+        bad.write_bytes(workspace["ds"].read_bytes() + b"junk")
+        code, _, err = run_cli(capsys, "eval", "--model", str(workspace["model"]),
+                               "--dataset", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and "after the checksum trailer" in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,10 @@
 """Fuzz tests: damaged dataset and model files are rejected, never crash.
 
 A file from outside the program may be truncated, bit-flipped, carry a
-random header, or carry a damaged body under a valid CRC. Loading one
-must either succeed or raise ``ContainerError`` or ``ValueError``, the
-two exceptions the CLI reports as an ``error:`` line.
+random header, carry a damaged body under a valid CRC, or carry bytes
+after its CRC trailer. Loading one must either succeed or raise
+``ContainerError`` or ``ValueError``, the two exceptions the CLI reports
+as an ``error:`` line.
 """
 
 import struct
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfmc import data, fileio, nn, quant
-from rfmc.fileio import ContainerError
+from rfmc.fileio import ContainerError, FileFormatError
 from rfmc.sigsynth import FRAME_LEN
 
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -120,3 +121,21 @@ def test_damaged_body_with_valid_crc_rejected_or_loaded(originals, scratch, kind
     overwrite(edits.draw, body, 0)
     crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     load(scratch, blob[:header] + bytes(body) + crc, loader)
+
+
+@KINDS
+@EXAMPLES
+@given(junk=st.binary(min_size=1, max_size=64))
+def test_bytes_after_trailer_rejected(originals, scratch, kind, junk):
+    blob, _, loader = originals[kind]
+    scratch.write_bytes(blob + junk)
+    with pytest.raises(FileFormatError, match="after the checksum trailer"):
+        loader(scratch)
+
+
+@KINDS
+def test_second_file_appended_rejected(originals, scratch, kind):
+    blob, _, loader = originals[kind]
+    scratch.write_bytes(blob + blob)
+    with pytest.raises(FileFormatError, match="after the checksum trailer"):
+        loader(scratch)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from rfmc.seeding import KEY_MASK, frame_seed
+from rfmc.seeding import KEY_MASK, FrameStreams, frame_seed
 
 
 def test_streams_of_distinct_triples_differ():
@@ -34,3 +34,20 @@ def test_block_counter_carries_into_the_frame_index_word():
     bit_gen.random_raw(4)  # one 4-word block
     assert bit_gen.state["state"]["counter"].tolist() == [0, 10, 2, 1]
     assert bit_gen.state["state"]["key"].tolist() == [7 & KEY_MASK, 0]
+
+
+def test_frame_streams_give_each_frame_its_frame_seed_stream():
+    master = (1 << 130) + 11
+    streams = FrameStreams(master, 4, 6, stream=1)
+    assert len(streams) == 6
+    for _ in range(2):  # a second pass starts again at frame 0
+        seen = 0
+        for idx, rng in enumerate(streams):
+            expected = frame_seed(master, 4, idx, 1)
+            # an odd number of 32-bit draws leaves half a word buffered;
+            # the next frame's stream must not see it
+            assert np.array_equal(rng.integers(0, 4, size=3, dtype=np.uint32),
+                                  expected.integers(0, 4, size=3, dtype=np.uint32))
+            assert np.array_equal(rng.standard_normal(5), expected.standard_normal(5))
+            seen += 1
+        assert seen == 6
