@@ -51,20 +51,17 @@ def gaussian_frames(n: int, seed: int = 12345) -> list[np.ndarray]:
 def bench_inference(
     classifier,
     n_frames: int,
+    frames: list[np.ndarray],
     warmup: int = 100,
-    frames: list[np.ndarray] | None = None,
     path: str = "float",
 ) -> LatencyReport:
-    """Time single-frame classification over pre-generated frames.
+    """Time single-frame classification over the first ``n_frames`` of ``frames``.
 
-    ``frames`` defaults to seeded unit-power Gaussian frames; ``rfmc
-    bench`` passes int16 frames for either path. Warmup frames
-    are classified and discarded before measurement begins.
+    ``rfmc bench`` passes int16 frames for either path. Warmup frames are
+    classified and discarded before measurement begins.
     """
     if n_frames < MIN_FRAMES:
         raise ValueError(f"n_frames must be >= {MIN_FRAMES}")
-    if frames is None:
-        frames = gaussian_frames(n_frames)
     if len(frames) < n_frames:
         raise ValueError("not enough pre-generated frames")
     frames = frames[:n_frames]
@@ -95,16 +92,10 @@ def bench_inference(
     )
 
 
-def bench_throughput(
-    classifier,
-    duration_seconds: float,
-    frames: list[np.ndarray] | None = None,
-) -> float:
-    """Sustained frames/second over at least ``duration_seconds``."""
+def bench_throughput(classifier, duration_seconds: float, frames: list[np.ndarray]) -> float:
+    """Sustained frames/second over at least ``duration_seconds``, cycling through ``frames``."""
     if duration_seconds < 1.0:
         raise ValueError("duration_seconds must be >= 1")
-    if frames is None:
-        frames = gaussian_frames(256)
     classifier(frames[0])  # warm any lazy compilation
     count = 0
     start = time.perf_counter()

@@ -29,7 +29,7 @@ from . import channel, sigsynth
 from .fileio import ChecksumError, FileFormatError, read_checksum, read_exact
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
-from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel, WaveformParams
+from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
 
 DATASET_MAGIC = b"RFDS"
 DATASET_VERSION = 1
@@ -43,7 +43,6 @@ _RECORD_DTYPE = np.dtype(
 class DatasetSpec:
     frames_per_class: int = 2000
     snr_grid: tuple[float, ...] = channel.DEFAULT_SNR_GRID
-    waveform: WaveformParams = sigsynth.DEFAULT_WAVEFORM
     master_seed: int = 0
 
     def validate(self) -> None:
@@ -51,7 +50,6 @@ class DatasetSpec:
             raise ValueError("frames_per_class must be >= 1")
         if not self.snr_grid:
             raise ValueError("snr_grid must be non-empty")
-        self.waveform.validate()
 
 
 @dataclass
@@ -61,7 +59,6 @@ class Dataset:
     frames: np.ndarray
     labels: np.ndarray
     snr_db: np.ndarray
-    provenance: DatasetSpec | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -100,11 +97,11 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
             frames[rows] = sigsynth.gen_noise_batch(rngs)
             continue
         snrs = [grid[idx % len(grid)] for idx in range(per_class)]
-        clean = sigsynth.modulate_batch(ModulationLabel(cls), spec.waveform, rngs)
+        clean = sigsynth.modulate_batch(ModulationLabel(cls), rngs)
         noise_rngs = FrameStreams(spec.master_seed, cls, per_class, stream=1)
         frames[rows] = channel.apply_awgn_batch(clean, snrs, noise_rngs)
         snr_db[rows] = snrs
-    return Dataset(frames, labels, snr_db, provenance=spec)
+    return Dataset(frames, labels, snr_db)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -130,10 +127,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
 
     def take(idx: np.ndarray) -> Dataset:
         return Dataset(
-            dataset.frames[idx].copy(),
-            dataset.labels[idx].copy(),
-            dataset.snr_db[idx].copy(),
-            provenance=dataset.provenance,
+            dataset.frames[idx].copy(), dataset.labels[idx].copy(), dataset.snr_db[idx].copy()
         )
 
     return take(tr), take(te)
@@ -155,7 +149,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Inverse of save_dataset; provenance is not persisted in the file."""
+    """Inverse of save_dataset."""
     with open(path, "rb") as f:
         magic = read_exact(f, 4, "magic")
         if magic != DATASET_MAGIC:

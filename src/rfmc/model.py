@@ -13,6 +13,8 @@ format for either kind.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import nn, quant
@@ -22,10 +24,10 @@ from .quant import FixedPointFormat, QuantizedNetwork
 # Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
 RAW_FLOAT_FORMAT = FixedPointFormat(13)
 
-# Frames per slice in ``logits``. A large batch runs slice by slice, so
-# its float64 working copies (14.4 KB per frame each) stay bounded
-# whatever its size; on 14,000 frames 1024-frame slices ran as fast as
-# any size tried.
+# Frames per slice in ``logits`` and ``raw_logits``. A large batch runs
+# slice by slice, so its float64 working copies (14.4 KB per frame each)
+# stay bounded whatever its size; on 14,000 frames 1024-frame slices ran
+# as fast as any size tried.
 LOGITS_SLICE = 1024
 
 
@@ -39,23 +41,37 @@ def raw_format(model) -> FixedPointFormat:
     return model.input_format if path(model) == "quantized" else RAW_FLOAT_FORMAT
 
 
+def _in_slices(run):
+    """``run(model, frames)`` applied ``LOGITS_SLICE`` frames at a time, its
+    results concatenated."""
+
+    @functools.wraps(run)
+    def sliced(model, frames: np.ndarray) -> np.ndarray:
+        if len(frames) <= LOGITS_SLICE:
+            return run(model, frames)
+        return np.concatenate(
+            [run(model, frames[i : i + LOGITS_SLICE]) for i in range(0, len(frames), LOGITS_SLICE)]
+        )
+
+    return sliced
+
+
+@_in_slices
 def logits(model, frames: np.ndarray) -> np.ndarray:
     """Float frames (n, 1800) -> logits (n, 7), in slices of ``LOGITS_SLICE`` frames.
 
     The quantized path quantizes the frames under the model's input format
     and returns the exact int64 logits of the integer datapath.
     """
-    if len(frames) > LOGITS_SLICE:
-        return np.concatenate(
-            [logits(model, frames[i : i + LOGITS_SLICE]) for i in range(0, len(frames), LOGITS_SLICE)]
-        )
     if path(model) == "quantized":
         return quant.quantized_logits(model, quant.quantize_array(frames, model.input_format))
     return nn.forward_batch(model, frames)[0]
 
 
+@_in_slices
 def raw_logits(model, frames_q: np.ndarray) -> np.ndarray:
-    """Raw int16 frames (n, 1800) -> logits (n, 7), read under ``raw_format``.
+    """Raw int16 frames (n, 1800) -> logits (n, 7), read under ``raw_format``,
+    in slices of ``LOGITS_SLICE`` frames.
 
     The quantized path feeds the integers to the datapath unchanged; it
     never dequantizes and requantizes them.

@@ -42,14 +42,6 @@ class FixedPointFormat:
     def scale(self) -> int:
         return 1 << self.frac_bits
 
-    @property
-    def min_value(self) -> float:
-        return -(2.0 ** (15 - self.frac_bits))
-
-    @property
-    def max_value(self) -> float:
-        return (2.0**15 - 1) / self.scale
-
 
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     """round(x * 2**frac) half away from zero, saturated to int16, elementwise.

@@ -5,16 +5,18 @@ A frame is 900 complex samples carried as 1800 interleaved reals
 constellation streams; CPM/GFSK/GMSK are continuous-phase waveforms built
 from a frequency pulse and a running phase integral.
 
+Every class is synthesized with one fixed waveform set: the module
+constants ``SAMPLES_PER_SYMBOL`` through ``CPM_MOD_INDEX``.
+
 Synthesis is batch-first: ``modulate_batch`` shapes every frame of a
 class with one matrix product. Pulse shaping is linear in the symbols, so
-per ``(label, WaveformParams)`` it is one cached synthesis matrix: the
-18 x 900 RRC matrix of a linear class (at the default 90 samples per
-symbol), or the frequency-pulse matrix scaled by pi*h/sps of a phase
-class. Its entries sit on a power-of-two grid on which the product with
-integer symbols is exact, so each frame is a pure function of (label,
-params, the generator it draws from): its bits depend neither on the BLAS
-build nor on the other frames of its batch. ``data.build_dataset`` runs
-the batch functions; ``modulate`` and ``gen_noise_frame`` are their
+per label it is one cached synthesis matrix: the 18 x 900 RRC matrix of
+a linear class, or the frequency-pulse matrix scaled by pi*h/sps of a
+phase class. Its entries sit on a power-of-two grid on which the product
+with integer symbols is exact, so each frame is a pure function of
+(label, the generator it draws from): its bits depend neither on the
+BLAS build nor on the other frames of its batch. ``data.build_dataset``
+runs the batch functions; ``modulate`` and ``gen_noise_frame`` are their
 one-row calls, kept only because the benchmark traces them.
 """
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -54,56 +55,20 @@ def label_name(label: int) -> str:
     return LABEL_NAMES[int(label)]
 
 
-@dataclass(frozen=True)
-class WaveformParams:
-    """Waveform knobs shared by all classes of one dataset.
-
-    GFSK and GMSK differ only by the Gaussian filter's bandwidth-time
-    product; both use ``fsk_dev_index`` as the modulation index. CPM uses
-    its own index and a rectangular ("rect") or raised-cosine ("rc")
-    frequency pulse of ``cpm_pulse_len_symbols`` symbols.
-
-    ``samples_per_symbol`` must divide 900. The default of 90 (10 symbols
-    per frame for the linear classes) is what the stock classifier is
-    tuned for: denser symbol packing makes held-out accuracy collapse.
-    """
-
-    samples_per_symbol: int = 90
-    rrc_rolloff: float = 0.35
-    rrc_span_symbols: int = 8
-    gfsk_bt: float = 0.5
-    gmsk_bt: float = 0.3
-    gaussian_span_symbols: int = 4
-    fsk_dev_index: float = 0.5
-    cpm_mod_index: float = 0.5
-    cpm_pulse: str = "rect"
-    cpm_pulse_len_symbols: int = 1
-
-    def validate(self) -> None:
-        if self.samples_per_symbol < 2:
-            raise ValueError("samples_per_symbol must be >= 2")
-        if FRAME_SAMPLES % self.samples_per_symbol != 0:
-            raise ValueError(
-                f"{FRAME_SAMPLES} must be an integer multiple of "
-                f"samples_per_symbol={self.samples_per_symbol}"
-            )
-        if not 0.0 < self.rrc_rolloff <= 1.0:
-            raise ValueError("rrc_rolloff must be in (0, 1]")
-        for name in ("gfsk_bt", "gmsk_bt"):
-            bt = getattr(self, name)
-            if not 0.0 < bt <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if self.fsk_dev_index <= 0 or self.cpm_mod_index <= 0:
-            raise ValueError("modulation indices must be > 0")
-        if self.cpm_pulse not in ("rect", "rc"):
-            raise ValueError("cpm_pulse must be 'rect' or 'rc'")
-        if self.cpm_pulse_len_symbols < 1:
-            raise ValueError("cpm_pulse_len_symbols must be >= 1")
-        if self.rrc_span_symbols < 1 or self.gaussian_span_symbols < 1:
-            raise ValueError("filter spans must be >= 1 symbol")
-
-
-DEFAULT_WAVEFORM = WaveformParams()
+# The one waveform set every class is synthesized with. 90 samples per
+# symbol (it must divide 900: 10 symbols per frame for the linear
+# classes) is what the stock classifier is tuned for: denser symbol
+# packing makes held-out accuracy collapse. GFSK and GMSK differ only by
+# the Gaussian filter's bandwidth-time product and share FSK_MOD_INDEX;
+# CPM uses a one-symbol rectangular frequency pulse and its own index.
+SAMPLES_PER_SYMBOL = 90
+RRC_ROLLOFF = 0.35
+RRC_SPAN_SYMBOLS = 8
+GAUSSIAN_SPAN_SYMBOLS = 4
+GFSK_BT = 0.5
+GMSK_BT = 0.3
+FSK_MOD_INDEX = 0.5
+CPM_MOD_INDEX = 0.5
 
 # Constellations on the integer grid; the RMS normalization of each
 # frame absorbs their scale.
@@ -150,22 +115,15 @@ def gaussian_taps(sps: int, span_symbols: int, bt: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _frequency_pulse(label: ModulationLabel, params: WaveformParams) -> tuple[np.ndarray, float]:
+def _frequency_pulse(label: ModulationLabel) -> tuple[np.ndarray, float]:
     """Per-sample frequency pulse (sums to sps) and modulation index."""
-    sps = params.samples_per_symbol
+    rect = np.ones(SAMPLES_PER_SYMBOL)
     if label == ModulationLabel.CPM:
-        length = params.cpm_pulse_len_symbols * sps
-        if params.cpm_pulse == "rect":
-            pulse = np.full(length, 1.0 / params.cpm_pulse_len_symbols)
-        else:  # raised-cosine frequency pulse
-            k = np.arange(length) + 0.5
-            pulse = (1.0 - np.cos(2.0 * np.pi * k / length)) / params.cpm_pulse_len_symbols
-        return pulse, params.cpm_mod_index
-    bt = params.gmsk_bt if label == ModulationLabel.GMSK else params.gfsk_bt
-    gauss = gaussian_taps(sps, params.gaussian_span_symbols, bt)
+        return rect, CPM_MOD_INDEX
+    bt = GMSK_BT if label == ModulationLabel.GMSK else GFSK_BT
     # NRZ shaping folded into the pulse: rect(sps) * gaussian, sum = sps.
-    pulse = np.convolve(np.ones(sps), gauss)
-    return pulse, params.fsk_dev_index
+    pulse = np.convolve(rect, gaussian_taps(SAMPLES_PER_SYMBOL, GAUSSIAN_SPAN_SYMBOLS, bt))
+    return pulse, FSK_MOD_INDEX
 
 
 def _exact_grid(matrix: np.ndarray, max_symbol: float) -> np.ndarray:
@@ -184,8 +142,8 @@ def _exact_grid(matrix: np.ndarray, max_symbol: float) -> np.ndarray:
     return np.round(matrix / step) * step
 
 
-@functools.lru_cache(maxsize=32)
-def _synthesis_matrix(label: ModulationLabel, params: WaveformParams) -> np.ndarray:
+@functools.cache
+def _synthesis_matrix(label: ModulationLabel) -> np.ndarray:
     """(n_symbols, 900) matrix taking one frame's symbols to its samples.
 
     Row k holds the class's pulse placed at symbol k: the RRC taps for a
@@ -197,13 +155,13 @@ def _synthesis_matrix(label: ModulationLabel, params: WaveformParams) -> np.ndar
     whole class of frames in one product. Entries sit on the exact grid
     of ``_exact_grid``. Read-only, because it is cached.
     """
-    sps = params.samples_per_symbol
+    sps = SAMPLES_PER_SYMBOL
     if label in LINEAR_LABELS:
-        pulse = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
+        pulse = rrc_taps(sps, RRC_SPAN_SYMBOLS, RRC_ROLLOFF)
         points = _INTEGER_POINTS[label]
         max_symbol = max(np.abs(points.real).max(), np.abs(points.imag).max())
     else:
-        pulse, h = _frequency_pulse(label, params)
+        pulse, h = _frequency_pulse(label)
         pulse = math.pi * h / sps * pulse
         max_symbol = 1.0
     n = len(pulse)
@@ -217,9 +175,7 @@ def _synthesis_matrix(label: ModulationLabel, params: WaveformParams) -> np.ndar
     return matrix
 
 
-def modulate_batch(
-    label: ModulationLabel, params: WaveformParams | None, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
+def modulate_batch(label: ModulationLabel, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Synthesize one frame per generator: (len(rngs), 1800) float64.
 
     Frame i draws its symbols from ``rngs[i]`` alone, and its bits do not
@@ -227,15 +183,13 @@ def modulate_batch(
     ``points[symbols] @ T`` with the constellation's integer points (the
     RMS normalization absorbs their scale); a phase class computes
     ``exp(1j * cumsum(symbols @ F))``, with ``T`` and ``F`` the cached
-    synthesis matrix of ``(label, params)``. Each frame's RMS
+    synthesis matrix of ``label``. Each frame's RMS
     complex-sample power is normalized to 1.
     """
     label = ModulationLabel(label)
     if label == ModulationLabel.NOISE:
-        raise ValueError("modulate: the noise class is generated by gen_noise_frame")
-    params = params or DEFAULT_WAVEFORM
-    params.validate()
-    matrix = _synthesis_matrix(label, params)
+        raise ValueError("modulate: the noise class is generated by gen_noise_batch")
+    matrix = _synthesis_matrix(label)
     n_symbols = matrix.shape[0]
 
     if label in LINEAR_LABELS:
@@ -250,14 +204,14 @@ def modulate_batch(
     return interleave(iq)
 
 
-def modulate(label: ModulationLabel, params: WaveformParams | None = None, seed: int = 0) -> np.ndarray:
+def modulate(label: ModulationLabel, seed: int = 0) -> np.ndarray:
     """Synthesize one 1800-real frame, RMS complex-sample power normalized to 1.
 
     One row of ``modulate_batch``, drawing from the generator keyed by
     ``seed``. No program path calls it; it stays because the benchmark
     traces it.
     """
-    return modulate_batch(label, params, [rng_from_seed(seed)])[0]
+    return modulate_batch(label, [rng_from_seed(seed)])[0]
 
 
 def gen_noise_batch(rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -17,8 +17,9 @@ update the selector for each connection. Sockets are non-blocking with
 a client has not read wait in a per-connection buffer; once that holds
 ``MAX_PENDING_REPLY_BYTES`` the connection is not read until it drains,
 so a client that never reads cannot stall the loop or grow the buffer.
-A round's batch runs in slices of ``model.LOGITS_SLICE`` frames, so its
-working memory stays bounded however many connections are ready.
+``rfmc.model`` runs a round's batch in slices of ``model.LOGITS_SLICE``
+frames, so its working memory stays bounded however many connections
+are ready.
 
 What the integers mean is defined in ``rfmc.model``: a quantized model
 reads them under its own input format, a float model as Q2.13
@@ -132,10 +133,7 @@ class StreamServer:
         """Classify every connection's frames together; queue each its own replies."""
         frames = np.concatenate([frames for _, frames in batch])
         replies = np.empty((len(frames), 2), np.uint8)
-        replies[:, 0] = np.concatenate([
-            self._classify(frames[i : i + model.LOGITS_SLICE])
-            for i in range(0, len(frames), model.LOGITS_SLICE)
-        ])
+        replies[:, 0] = self._classify(frames)
         replies[:, 1] = self.path_byte
         blob = replies.tobytes()
         start = 0

@@ -22,13 +22,14 @@ import numpy as np
 
 from rfmc import data
 from rfmc.sigsynth import (
-    DEFAULT_WAVEFORM,
     FRAME_LEN,
     FRAME_SAMPLES,
     LINEAR_LABELS,
     NUM_CLASSES,
+    RRC_ROLLOFF,
+    RRC_SPAN_SYMBOLS,
+    SAMPLES_PER_SYMBOL,
     ModulationLabel,
-    WaveformParams,
     _frequency_pulse,
     label_name,
     rrc_taps,
@@ -66,35 +67,34 @@ def deinterleave(frame: np.ndarray) -> np.ndarray:
     return frame[0::2] + 1j * frame[1::2]
 
 
-def max_phase_increment(label: ModulationLabel, params: WaveformParams | None = None) -> float:
+def max_phase_increment(label: ModulationLabel) -> float:
     """Analytic per-sample bound on |phase difference| for a CPM-family label.
 
     Worst case is an all-ones symbol stream: pi*h/sps times the largest
     stride-sps sum of the frequency pulse.
     """
-    params = params or DEFAULT_WAVEFORM
     label = ModulationLabel(label)
     if label not in PHASE_LABELS:
         raise ValueError(f"{label_name(label)} is not phase-modulated")
-    pulse, h = _frequency_pulse(label, params)
-    sps = params.samples_per_symbol
+    pulse, h = _frequency_pulse(label)
+    sps = SAMPLES_PER_SYMBOL
     worst = max(pulse[r::sps].sum() for r in range(sps))
     return math.pi * h / sps * worst
 
 
-def _linear(label, params, rng):
-    sps = params.samples_per_symbol
-    n_syms = FRAME_SAMPLES // sps + params.rrc_span_symbols
+def _linear(label, rng):
+    sps = SAMPLES_PER_SYMBOL
+    n_syms = FRAME_SAMPLES // sps + RRC_SPAN_SYMBOLS
     symbols = gen_symbols(label, n_syms, rng)
-    taps = rrc_taps(sps, params.rrc_span_symbols, params.rrc_rolloff)
+    taps = rrc_taps(sps, RRC_SPAN_SYMBOLS, RRC_ROLLOFF)
     upsampled = np.zeros(n_syms * sps, dtype=np.complex128)
     upsampled[::sps] = symbols
     return np.convolve(upsampled, taps, mode="valid")[:FRAME_SAMPLES]
 
 
-def _phase(label, params, rng):
-    sps = params.samples_per_symbol
-    pulse, h = _frequency_pulse(label, params)
+def _phase(label, rng):
+    sps = SAMPLES_PER_SYMBOL
+    pulse, h = _frequency_pulse(label)
     n_syms = FRAME_SAMPLES // sps + -(-(len(pulse) - 1) // sps)
     symbols = rng.integers(0, 2, size=n_syms) * 2 - 1
     impulses = np.zeros(n_syms * sps, dtype=np.float64)
@@ -103,9 +103,9 @@ def _phase(label, params, rng):
     return np.exp(1j * np.cumsum(math.pi * h / sps * freq))
 
 
-def modulate(label: ModulationLabel, params: WaveformParams, rng: np.random.Generator) -> np.ndarray:
+def modulate(label: ModulationLabel, rng: np.random.Generator) -> np.ndarray:
     """One interleaved 1800-real frame, RMS complex-sample power 1."""
-    iq = _linear(label, params, rng) if label in LINEAR_LABELS else _phase(label, params, rng)
+    iq = _linear(label, rng) if label in LINEAR_LABELS else _phase(label, rng)
     iq = iq / np.sqrt(np.mean(np.abs(iq) ** 2))
     out = np.empty(FRAME_LEN)
     out[0::2] = iq.real
@@ -144,7 +144,7 @@ def seedsequence_dataset(spec: data.DatasetSpec) -> data.Dataset:
                 frames[row] = noise_frame(rng)
                 continue
             snr = spec.snr_grid[idx % len(spec.snr_grid)]
-            clean = modulate(ModulationLabel(cls), spec.waveform, rng)
+            clean = modulate(ModulationLabel(cls), rng)
             frames[row] = awgn(clean, snr, seedsequence_rng(spec.master_seed, cls, idx, 1))
             snr_db[row] = snr
-    return data.Dataset(frames, labels, snr_db, provenance=spec)
+    return data.Dataset(frames, labels, snr_db)

@@ -532,21 +532,22 @@ class TestServe:
             server.stop()
         assert threading.active_count() == before
 
-    def hold_first_batch(self, server):
-        """Wrap ``server``'s classifier so it records every batch size and
-        holds its first call until the returned ``release`` event is set;
-        ``entered`` is set once that first call has begun."""
-        inner = server._classify
+    def hold_first_batch(self, monkeypatch):
+        """Wrap the integer engine, ``quant.quantized_logits``, so it records
+        every batch size and holds its first call until the returned
+        ``release`` event is set; ``entered`` is set once that first call
+        has begun."""
+        inner = quant.quantized_logits
         sizes, entered, release = [], threading.Event(), threading.Event()
 
-        def recording(frames_q):
+        def recording(qnet, frames_q):
             sizes.append(len(frames_q))
             if len(sizes) == 1:
                 entered.set()
                 release.wait(SOCKET_TIMEOUT_S)
-            return inner(frames_q)
+            return inner(qnet, frames_q)
 
-        server._classify = recording
+        monkeypatch.setattr(quant, "quantized_logits", recording)
         return sizes, entered, release
 
     @pytest.mark.parametrize("logits_slice, batches", [(None, [1, 4]), (3, [1, 3, 1])],
@@ -560,7 +561,7 @@ class TestServe:
         blobs = [f.astype("<i2").tobytes() for f in frames]
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         server = StreamServer(qnet)
-        sizes, entered, release = self.hold_first_batch(server)
+        sizes, entered, release = self.hold_first_batch(monkeypatch)
         server.start()
         try:
             with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as a, \
@@ -583,7 +584,8 @@ class TestServe:
         assert set(replies_a[1::2] + replies_b[1::2]) == {PATH_QUANTIZED}
 
     @pytest.mark.parametrize("b_sends", [0, 1], ids=["fails_on_recv", "fails_on_send"])
-    def test_connection_error_mid_round_spares_the_others(self, workspace, caplog, b_sends):
+    def test_connection_error_mid_round_spares_the_others(self, workspace, caplog, monkeypatch,
+                                                          b_sends):
         # Client b resets its connection while the loop is held. With no
         # frame sent, the round's recv on b fails; with one, the recv
         # returns it, b's frame joins the round's batch and the send of its
@@ -593,7 +595,7 @@ class TestServe:
         blobs = [f.astype("<i2").tobytes() for f in frames]
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         server = StreamServer(qnet)
-        sizes, entered, release = self.hold_first_batch(server)
+        sizes, entered, release = self.hold_first_batch(monkeypatch)
         server.start()
         try:
             with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as a, \

@@ -76,7 +76,7 @@ class TestBuildDataset:
         for cls in range(1, 7):
             rows = mixed.labels == cls
             clean = sigsynth.modulate_batch(
-                ModulationLabel(cls), None, [frame_seed(99, cls, idx, 0) for idx in (0, 2)]
+                ModulationLabel(cls), [frame_seed(99, cls, idx, 0) for idx in (0, 2)]
             )
             assert np.array_equal(mixed.frames[rows][0::2], clean.astype(np.float32))
             assert np.all(np.isnan(mixed.snr_db[rows][0::2]))

@@ -65,13 +65,15 @@ class TestBatchRows:
             assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
 
     def test_slices_give_the_whole_batch(self, net, frames, monkeypatch):
-        whole = model.logits(net, frames)
+        inputs = [(model.logits, frames), (model.raw_logits, raw_frames(net, frames))]
+        wholes = [run(net, batch) for run, batch in inputs]
         monkeypatch.setattr(model, "LOGITS_SLICE", 3)  # 16 frames: 5 slices of 3, then 1
-        sliced = model.logits(net, frames)
-        if model.path(net) == "quantized":
-            assert np.array_equal(sliced, whole)
-        else:
-            assert np.allclose(sliced, whole, rtol=1e-12, atol=1e-12)
+        for (run, batch), whole in zip(inputs, wholes):
+            sliced = run(net, batch)
+            if model.path(net) == "quantized":
+                assert np.array_equal(sliced, whole)
+            else:
+                assert np.allclose(sliced, whole, rtol=1e-12, atol=1e-12)
 
     def test_empty_batch(self, net):
         assert model.raw_logits(net, np.zeros((0, 1800), np.int16)).shape == (0, 7)

@@ -13,6 +13,16 @@ from rfmc.quant import FixedPointFormat, QuantizedNetwork
 FORMATS = st.integers(min_value=0, max_value=15)
 
 
+def min_value(fmt: FixedPointFormat) -> float:
+    """The most negative value ``fmt`` holds: int16 -32768 scaled."""
+    return -(2.0 ** (15 - fmt.frac_bits))
+
+
+def max_value(fmt: FixedPointFormat) -> float:
+    """The largest value ``fmt`` holds: int16 32767 scaled."""
+    return (2.0**15 - 1) / fmt.scale
+
+
 def hand_toy_qnet() -> QuantizedNetwork:
     """2-2-2 network with power-of-two values, checkable by hand.
 
@@ -104,17 +114,17 @@ class TestDequantizeValue:
     @settings(max_examples=300, deadline=None)
     def test_round_trip_bound_in_range(self, frac, data):
         fmt = FixedPointFormat(frac)
-        x = data.draw(st.floats(fmt.min_value, fmt.max_value, allow_nan=False))
+        x = data.draw(st.floats(min_value(fmt), max_value(fmt), allow_nan=False))
         back = quant.dequantize_array(quant.quantize_array(x, fmt), fmt)
         assert abs(x - back) <= 2.0 ** (-frac - 1)
 
     def test_saturation_edges_exact(self):
         for frac in range(16):
             fmt = FixedPointFormat(frac)
-            assert quantize_value(fmt.max_value, fmt) == 32767
-            assert quantize_value(fmt.min_value, fmt) == -32768
-            assert quant.dequantize_array(-32768, fmt) == fmt.min_value
-            assert quant.dequantize_array(32767, fmt) == fmt.max_value
+            assert quantize_value(max_value(fmt), fmt) == 32767
+            assert quantize_value(min_value(fmt), fmt) == -32768
+            assert quant.dequantize_array(-32768, fmt) == min_value(fmt)
+            assert quant.dequantize_array(32767, fmt) == max_value(fmt)
 
 
 class TestChooseFormats:
@@ -169,7 +179,7 @@ class TestQuantizeNetwork:
         qnet = quant.quantize_network(params, cal)
         for w_float, w_q, frac in zip(params.weights, qnet.weights, qnet.weight_frac):
             fmt = FixedPointFormat(frac)
-            in_range = (w_float >= fmt.min_value) & (w_float <= fmt.max_value)
+            in_range = (w_float >= min_value(fmt)) & (w_float <= max_value(fmt))
             err = np.abs(quant.dequantize_array(w_q, fmt) - w_float)
             assert np.all(err[in_range] <= 2.0 ** (-frac - 1) + 1e-15)
 
@@ -195,7 +205,7 @@ class TestQuantizeArray:
         for frac in range(16):
             fmt = FixedPointFormat(frac)
             halves = (np.arange(-9, 9) + 0.5) / fmt.scale
-            edges = np.array([fmt.max_value, fmt.min_value, 0.0, -0.0, 1e9, -1e9,
+            edges = np.array([max_value(fmt), min_value(fmt), 0.0, -0.0, 1e9, -1e9,
                               1e300, -1e300, 5e-324, -5e-324, 2.0**-frac / 2])
             values = np.concatenate([
                 halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),

@@ -6,7 +6,7 @@ import pytest
 import synth_oracle
 from rfmc import sigsynth as ss
 from rfmc.seeding import frame_seed, rng_from_seed
-from rfmc.sigsynth import ModulationLabel, WaveformParams
+from rfmc.sigsynth import ModulationLabel
 
 ALL_MODULATED = [
     ModulationLabel.BPSK,
@@ -83,27 +83,19 @@ class TestModulate:
         moduli = np.abs(synth_oracle.deinterleave(ss.modulate(label, seed=2)))
         assert np.std(moduli) / np.mean(moduli) < 1e-6
 
-    def test_bpsk_custom_params_rms(self):
-        params = WaveformParams(samples_per_symbol=4, rrc_rolloff=0.35)
-        frame = ss.modulate(ModulationLabel.BPSK, params, seed=8)
-        power = np.mean(np.abs(synth_oracle.deinterleave(frame)) ** 2)
-        assert abs(np.sqrt(power) - 1.0) < 1e-6
-
     @pytest.mark.parametrize("label", [ModulationLabel.CPM, ModulationLabel.GFSK,
                                        ModulationLabel.GMSK])
     def test_phase_increment_bound(self, label):
         # Oracle: the per-sample bound follows from the frequency pulse
         # before any frame is built (pi*h/sps for unit-sum stride sums).
-        params = ss.DEFAULT_WAVEFORM
-        bound = synth_oracle.max_phase_increment(label, params)
-        z = synth_oracle.deinterleave(ss.modulate(label, params, seed=21))
+        bound = synth_oracle.max_phase_increment(label)
+        z = synth_oracle.deinterleave(ss.modulate(label, seed=21))
         increments = np.abs(np.angle(z[1:] * np.conj(z[:-1])))
         assert increments.max() <= bound + 1e-9
 
     def test_cpm_bound_matches_closed_form(self):
-        params = WaveformParams(samples_per_symbol=4)
-        expected = np.pi * params.cpm_mod_index / params.samples_per_symbol
-        assert synth_oracle.max_phase_increment(ModulationLabel.CPM, params) == pytest.approx(expected)
+        expected = np.pi * ss.CPM_MOD_INDEX / ss.SAMPLES_PER_SYMBOL
+        assert synth_oracle.max_phase_increment(ModulationLabel.CPM) == pytest.approx(expected)
 
     def test_phase_continuity_unwrapped(self):
         for label in (ModulationLabel.CPM, ModulationLabel.GFSK, ModulationLabel.GMSK):
@@ -114,14 +106,6 @@ class TestModulate:
     def test_noise_label_rejected(self):
         with pytest.raises(ValueError):
             ss.modulate(ModulationLabel.NOISE, seed=0)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            ss.modulate(ModulationLabel.BPSK, WaveformParams(samples_per_symbol=7), seed=0)
-        with pytest.raises(ValueError):
-            ss.modulate(ModulationLabel.BPSK, WaveformParams(rrc_rolloff=0.0), seed=0)
-        with pytest.raises(ValueError):
-            ss.modulate(ModulationLabel.GMSK, WaveformParams(gmsk_bt=1.5), seed=0)
 
     @pytest.mark.parametrize("label", ALL_MODULATED)
     def test_deterministic(self, label):
@@ -139,37 +123,32 @@ class TestModulate:
 # below this.
 ORACLE_TOL = 1e-12
 
-ORACLE_PARAMS = [
-    ss.DEFAULT_WAVEFORM,
-    WaveformParams(samples_per_symbol=30, rrc_rolloff=0.2, rrc_span_symbols=5,
-                   cpm_pulse="rc", cpm_pulse_len_symbols=3, gmsk_bt=0.25),
-]
-
 
 def rngs(label, count, stream=0, master=11):
     return [frame_seed(master, int(label), idx, stream) for idx in range(count)]
 
 
 class TestBatchSynthesis:
-    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "custom"])
-    @pytest.mark.parametrize("label", ALL_MODULATED)
-    def test_matches_convolution_oracle(self, label, params):
-        batch = ss.modulate_batch(label, params, rngs(label, 12))
-        oracle = np.array([synth_oracle.modulate(label, params, r) for r in rngs(label, 12)])
+    # GFSK and GMSK pulses span 5 symbols, so these cases cover the overlap
+    # of several symbols' pulses; the ids name the one (default) waveform set.
+    @pytest.mark.parametrize("label", ALL_MODULATED, ids=lambda label: f"{label:d}-default")
+    def test_matches_convolution_oracle(self, label):
+        batch = ss.modulate_batch(label, rngs(label, 12))
+        oracle = np.array([synth_oracle.modulate(label, r) for r in rngs(label, 12)])
         assert batch.shape == (12, ss.FRAME_LEN)
         assert np.max(np.abs(batch - oracle)) <= ORACLE_TOL
 
     def test_single_frame_is_the_oracle_frame(self):
         oracle = synth_oracle.modulate(
-            ModulationLabel.QAM16, ss.DEFAULT_WAVEFORM, np.random.Generator(np.random.Philox(key=5))
+            ModulationLabel.QAM16, np.random.Generator(np.random.Philox(key=5))
         )
         assert np.max(np.abs(ss.modulate(ModulationLabel.QAM16, seed=5) - oracle)) <= ORACLE_TOL
 
     @pytest.mark.parametrize("label", ALL_MODULATED)
     def test_row_does_not_depend_on_the_batch(self, label):
-        batch = ss.modulate_batch(label, None, rngs(label, 6))
-        alone = ss.modulate_batch(label, None, rngs(label, 6)[4:5])
-        backwards = ss.modulate_batch(label, None, rngs(label, 6)[::-1])
+        batch = ss.modulate_batch(label, rngs(label, 6))
+        alone = ss.modulate_batch(label, rngs(label, 6)[4:5])
+        backwards = ss.modulate_batch(label, rngs(label, 6)[::-1])
         assert np.array_equal(batch[4], alone[0])
         assert np.array_equal(batch, backwards[::-1])
 
