@@ -2,9 +2,9 @@
 
 Frames are pre-generated before any clock starts, so synthesis and input
 quantization never pollute the numbers. ``rfmc bench`` hands both model
-kinds raw int16 frames, quantized under the model's raw format (see
-``rfmc.model``), so the float and the quantized path are timed on the
-same int16-in path that ``rfmc serve`` runs. Frames are classified one
+kinds the same raw int16 frames, in the Q2.13 format every model reads
+(see ``rfmc.model``), so the float and the quantized path are timed on
+the same int16-in path that ``rfmc serve`` runs. Frames are classified one
 at a time in one thread, so each sample is one frame's latency. Per-frame
 samples are kept on the report for auditing.
 """

@@ -50,14 +50,6 @@ def snr_grid_arg(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _pick_path(args_path: str | None, net) -> str:
-    """Resolve --path against the model kind; they must agree."""
-    kind = model.path(net)
-    if args_path is None or args_path == kind:
-        return kind
-    raise UsageError(f"--path {args_path} does not match the {kind} model file")
-
-
 def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = data.DatasetSpec(
         frames_per_class=args.frames_per_class,
@@ -148,9 +140,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"  error_delta {name:6s} {delta.per_class_error_delta[cls]:+.4f}")
         return EXIT_OK
 
-    path = _pick_path(args.path, net)
     report = evaluation.evaluate(_labeler(net), dataset)
-    print(f"path {path}")
+    print(f"path {model.path(net)}")
     print(evaluation.format_report(report))
     return EXIT_OK
 
@@ -162,15 +153,13 @@ def _labeler(net):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     net = fileio.load_model(args.model)
-    path = _pick_path(args.path, net)
-    fmt = model.raw_format(net)
-    frames_q = list(quant.quantize_array(bench.gaussian_frames(args.frames), fmt))
+    frames_q = list(quant.quantize_array(bench.gaussian_frames(args.frames), quant.INPUT_FORMAT))
 
     def classifier(frame_q):
         return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
 
     report = bench.bench_inference(
-        classifier, args.frames, warmup=args.warmup, frames=frames_q, path=path
+        classifier, args.frames, warmup=args.warmup, frames=frames_q, path=model.path(net)
     )
     print(bench.format_latency_report(report))
     if args.duration is not None:
@@ -194,7 +183,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if (args.dataset is None) == (args.raw is None):
         raise UsageError("give exactly one of --dataset or --raw")
     net = fileio.load_model(args.model)
-    _pick_path(args.path, net)
     if args.dataset is not None:
         _print_labels(net, model.logits(net, data.load_dataset(args.dataset).frames))
         return EXIT_OK
@@ -258,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="confusion matrix and accuracy report")
     p.add_argument("--model")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--path", choices=("float", "quantized"))
     p.add_argument("--compare", metavar="QUANT_MODEL",
                    help="also evaluate this quantized model and print the gap")
     p.add_argument("--self-test", action="store_true",
@@ -267,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency/throughput of an inference path")
     p.add_argument("--model", required=True)
-    p.add_argument("--path", choices=("float", "quantized"))
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=100)
     p.add_argument("--duration", type=float, help="also measure sustained throughput (s)")
@@ -277,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="dataset file input")
     p.add_argument("--raw", help="raw int16 I/Q file, or '-' for stdin")
-    p.add_argument("--path", choices=("float", "quantized"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("serve", help="TCP stream classifier")

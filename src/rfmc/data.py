@@ -20,13 +20,12 @@ file.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, sigsynth
-from .fileio import ChecksumError, FileFormatError, read_checksum, read_exact
+from .fileio import FileFormatError, check_trailer, read_exact, write_body
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
@@ -126,9 +125,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
     te = np.concatenate(test_idx)
 
     def take(idx: np.ndarray) -> Dataset:
-        return Dataset(
-            dataset.frames[idx].copy(), dataset.labels[idx].copy(), dataset.snr_db[idx].copy()
-        )
+        # fancy indexing already copies
+        return Dataset(dataset.frames[idx], dataset.labels[idx], dataset.snr_db[idx])
 
     return take(tr), take(te)
 
@@ -140,12 +138,10 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     records["snr_flag"] = np.where(np.isnan(dataset.snr_db), 1, 0)
     records["snr_db"] = dataset.snr_db
     records["frame"] = dataset.frames
-    body = records.tobytes()
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<HIH", DATASET_VERSION, len(dataset), FRAME_LEN))
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        write_body(f, records.tobytes())
 
 
 def load_dataset(path: str) -> Dataset:
@@ -160,10 +156,7 @@ def load_dataset(path: str) -> Dataset:
         if frame_len != FRAME_LEN:
             raise FileFormatError(f"unexpected frame length {frame_len}")
         body = read_exact(f, count * _RECORD_DTYPE.itemsize, "records")
-        stored = read_checksum(f)
-    actual = zlib.crc32(body) & 0xFFFFFFFF
-    if stored != actual:
-        raise ChecksumError(f"dataset CRC mismatch: stored {stored:#x}, computed {actual:#x}")
+        check_trailer(f, body, "dataset")
 
     records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=count)
     # astype copies, into arrays that own writable memory

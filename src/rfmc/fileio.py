@@ -71,15 +71,6 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
-def read_checksum(f: BinaryIO) -> int:
-    """Read the CRC32 trailer, which must end the file."""
-    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
-    extra = os.fstat(f.fileno()).st_size - f.tell()
-    if extra:
-        raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
-    return stored
-
-
 def _write_header(f: BinaryIO, kind: int, dims: list[tuple[int, int]]) -> None:
     f.write(MODEL_MAGIC)
     f.write(struct.pack("<HBB", MODEL_VERSION, kind, len(dims)))
@@ -110,18 +101,22 @@ def _read_header(f: BinaryIO) -> tuple[int, list[tuple[int, int]]]:
     return kind, dims
 
 
-def _write_body(f: BinaryIO, body: bytes) -> None:
+def write_body(f: BinaryIO, body: bytes) -> None:
+    """Write ``body`` and the CRC32 trailer that ends the file."""
     f.write(body)
     f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
-def _read_body(f: BinaryIO, size: int) -> bytes:
-    body = read_exact(f, size, "model body")
-    stored = read_checksum(f)
+def check_trailer(f: BinaryIO, body: bytes, what: str) -> None:
+    """Read the CRC32 trailer, which must end the file, and check it against
+    ``body``; ``what`` names the body in a mismatch."""
+    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:
-        raise ChecksumError(f"model body CRC mismatch: stored {stored:#x}, computed {actual:#x}")
-    return body
+        raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {actual:#x}")
 
 
 def save_float_model(path: str, params: NetworkParams) -> None:
@@ -133,7 +128,7 @@ def save_float_model(path: str, params: NetworkParams) -> None:
     body = b"".join(chunks)
     with open(path, "wb") as f:
         _write_header(f, KIND_FLOAT, [w.shape for w in params.weights])
-        _write_body(f, body)
+        write_body(f, body)
 
 
 def save_quantized_model(path: str, qnet: QuantizedNetwork) -> None:
@@ -148,7 +143,7 @@ def save_quantized_model(path: str, qnet: QuantizedNetwork) -> None:
     body = b"".join(chunks)
     with open(path, "wb") as f:
         _write_header(f, KIND_QUANTIZED, [w.shape for w in qnet.weights])
-        _write_body(f, body)
+        write_body(f, body)
 
 
 def _float_body_size(dims: list[tuple[int, int]]) -> int:
@@ -163,11 +158,12 @@ def load_model(path: str) -> Union[NetworkParams, QuantizedNetwork]:
     """Load either model kind, dispatching on the header."""
     with open(path, "rb") as f:
         kind, dims = _read_header(f)
-        if kind == KIND_FLOAT:
-            body = _read_body(f, _float_body_size(dims))
-            return _parse_float_body(body, dims)
-        body = _read_body(f, _quant_body_size(dims))
-        return _parse_quant_body(body, dims)
+        size = _float_body_size(dims) if kind == KIND_FLOAT else _quant_body_size(dims)
+        body = read_exact(f, size, "model body")
+        check_trailer(f, body, "model body")
+    if kind == KIND_FLOAT:
+        return _parse_float_body(body, dims)
+    return _parse_quant_body(body, dims)
 
 
 def load_float_model(path: str) -> NetworkParams:

@@ -77,14 +77,11 @@ def prepare_weights(weights: np.ndarray, bias_acc: np.ndarray) -> np.ndarray:
 
 
 def layer_forward(
-    weights: np.ndarray,
-    bias_acc: np.ndarray,
-    x: np.ndarray,
-    shift: int,
-    apply_relu: bool,
-    requantize: bool,
+    weights: np.ndarray, bias_acc: np.ndarray, x: np.ndarray, shift: int | None = None
 ) -> np.ndarray:
-    """One quantized layer: accumulators, or int16 activations if ``requantize``.
+    """One quantized layer: the raw accumulators if ``shift`` is None (the
+    output layer), else the ReLU'd activations requantized to int16 by a
+    right shift of ``shift`` bits (a hidden layer).
 
     ``weights`` must come from ``prepare_weights``; ``x`` holds int16
     activations in any integer or float dtype, one frame ``(in,)`` or a
@@ -95,14 +92,12 @@ def layer_forward(
     """
     acc = np.asarray(x, dtype=np.float64) @ weights.T
     acc += bias_acc
-    if requantize:
+    if shift is not None:
         # trunc(a + sign(a)/2) is round half away from zero; ReLU commutes
         # with that monotone rounding, so it folds into the lower clip
         acc *= 2.0**-shift
         acc += np.copysign(0.5, acc)
         np.trunc(acc, out=acc)
         np.minimum(acc, INT16_MAX, out=acc)
-        np.maximum(acc, 0 if apply_relu else INT16_MIN, out=acc)
-    elif apply_relu:
-        np.maximum(acc, 0.0, out=acc)
+        np.maximum(acc, 0, out=acc)
     return acc

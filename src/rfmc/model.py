@@ -5,10 +5,10 @@ A model is either a float ``nn.NetworkParams`` (the "float" path) or a
 outside ``fileio`` that tells the two apart. Eval, classify, bench and the
 stream server all run models through ``logits`` or ``raw_logits``.
 
-Raw input. A raw frame is 1800 int16 values (interleaved I, Q). A
-quantized model reads them under its calibrated ``input_format``; a float
-model reads them as Q2.13 (``RAW_FLOAT_FORMAT``). ``raw_format`` gives the
-format for either kind.
+Raw input. A raw frame is 1800 int16 values (interleaved I, Q) in Q2.13
+(``quant.INPUT_FORMAT``), whichever model reads it: the quantized path
+feeds them to its datapath, whose input format is always Q2.13, and the
+float path dequantizes them under the same format.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ import functools
 import numpy as np
 
 from . import nn, quant
-from .quant import FixedPointFormat, QuantizedNetwork
-
-# int16 -> float convention for models without a calibrated input format:
-# Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
-RAW_FLOAT_FORMAT = FixedPointFormat(13)
+from .quant import INPUT_FORMAT, QuantizedNetwork
 
 # Frames per slice in ``logits`` and ``raw_logits``. A large batch runs
 # slice by slice, so its float64 working copies (14.4 KB per frame each)
@@ -34,11 +30,6 @@ LOGITS_SLICE = 1024
 def path(model) -> str:
     """The model's kind: "quantized" for a ``QuantizedNetwork``, else "float"."""
     return "quantized" if isinstance(model, QuantizedNetwork) else "float"
-
-
-def raw_format(model) -> FixedPointFormat:
-    """The fixed-point format under which ``model`` reads raw int16 frames."""
-    return model.input_format if path(model) == "quantized" else RAW_FLOAT_FORMAT
 
 
 def _in_slices(run):
@@ -60,22 +51,22 @@ def _in_slices(run):
 def logits(model, frames: np.ndarray) -> np.ndarray:
     """Float frames (n, 1800) -> logits (n, 7), in slices of ``LOGITS_SLICE`` frames.
 
-    The quantized path quantizes the frames under the model's input format
-    and returns the exact int64 logits of the integer datapath.
+    The quantized path quantizes the frames under ``INPUT_FORMAT`` and
+    returns the exact int64 logits of the integer datapath.
     """
     if path(model) == "quantized":
-        return quant.quantized_logits(model, quant.quantize_array(frames, model.input_format))
+        return quant.quantized_logits(model, quant.quantize_array(frames, INPUT_FORMAT))
     return nn.forward_batch(model, frames)[0]
 
 
 @_in_slices
 def raw_logits(model, frames_q: np.ndarray) -> np.ndarray:
-    """Raw int16 frames (n, 1800) -> logits (n, 7), read under ``raw_format``,
-    in slices of ``LOGITS_SLICE`` frames.
+    """Raw int16 frames (n, 1800) in ``INPUT_FORMAT`` -> logits (n, 7), in
+    slices of ``LOGITS_SLICE`` frames.
 
     The quantized path feeds the integers to the datapath unchanged; it
     never dequantizes and requantizes them.
     """
     if path(model) == "quantized":
         return quant.quantized_logits(model, frames_q)
-    return nn.forward_batch(model, quant.dequantize_array(frames_q, RAW_FLOAT_FORMAT))[0]
+    return nn.forward_batch(model, quant.dequantize_array(frames_q, INPUT_FORMAT))[0]

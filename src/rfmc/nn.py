@@ -59,10 +59,6 @@ class NetworkParams:
     biases: list[np.ndarray]
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
-
-    @property
     def n_layers(self) -> int:
         return len(self.weights)
 

@@ -1,13 +1,16 @@
 """16-bit fixed-point quantization and the integer-only inference path.
 
-Scaling is symmetric power-of-two per layer: a weight format and an input
-activation format are calibrated from data, weights/activations are stored
-as int16, biases as int32 pre-aligned to the accumulator position
+Scaling is symmetric power-of-two per layer: weights/activations are
+stored as int16, biases as int32 pre-aligned to the accumulator position
 (weight_frac + act_frac), and each hidden layer requantizes its 48-bit
 accumulator down to the next layer's activation format with a rounded
 right shift. The output layer never requantizes: the classifier decision
 is the argmax of the raw integer accumulators (softmax, being monotone,
 cannot change an argmax).
+
+The weight formats and the hidden activation formats are calibrated from
+data; the input format is not. Every network reads its int16 input as
+Q2.13 (``INPUT_FORMAT``), so a raw frame means the same to every model.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ class FixedPointFormat:
     @property
     def scale(self) -> int:
         return 1 << self.frac_bits
+
+
+# The one meaning of an int16 input sample, for every model of either kind:
+# Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
+INPUT_FORMAT = FixedPointFormat(13)
 
 
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -80,9 +88,10 @@ def choose_formats(
 ) -> tuple[list[int], list[int]]:
     """Per-layer (weight frac_bits, input activation frac_bits).
 
-    Activation ranges are observed by running the float network over the
-    calibration frames; each format covers the 99.9th percentile of the
-    absolute values seen, independently for weights and activations.
+    The first layer's input is ``INPUT_FORMAT``. The hidden activation
+    ranges are observed by running the float network over the calibration
+    frames; each format covers the 99.9th percentile of the absolute
+    values seen, independently for weights and activations.
     """
     cal = np.atleast_2d(np.asarray(calibration, dtype=np.float64))
     if cal.shape[0] == 0:
@@ -96,13 +105,12 @@ def choose_formats(
         for w in params.weights
     ]
 
-    act_frac = []
+    act_frac = [INPUT_FORMAT.frac_bits]
     h = cal
-    for i in range(params.n_layers):
+    for i in range(params.n_layers - 1):
+        h = relu(h @ params.weights[i].T + params.biases[i])
         peak = float(np.percentile(np.abs(h), CALIBRATION_PERCENTILE))
         act_frac.append(fmt_for_magnitude(peak).frac_bits)
-        if i < params.n_layers - 1:
-            h = relu(h @ params.weights[i].T + params.biases[i])
     return weight_frac, act_frac
 
 
@@ -112,7 +120,8 @@ class QuantizedNetwork:
 
     ``biases[i]`` is stored pre-aligned at the layer's accumulator
     position ``weight_frac[i] + act_frac[i]`` (int32 range, int64 dtype
-    so it feeds the kernels directly).
+    so it feeds the kernels directly). ``act_frac[0]`` must be
+    ``INPUT_FORMAT``'s 13.
 
     Construction validates the network, converts the weights to float64
     once for the kernel engine (``weights_f64``) and raises ``ValueError``
@@ -133,16 +142,8 @@ class QuantizedNetwork:
         ]
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
-
-    @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    @property
-    def input_format(self) -> FixedPointFormat:
-        return FixedPointFormat(self.act_frac[0])
 
     def acc_frac(self, layer: int) -> int:
         """Fixed-point position of the layer's accumulator."""
@@ -164,6 +165,8 @@ class QuantizedNetwork:
                 raise ValueError("aligned biases must fit in int32")
         for f in (*self.weight_frac, *self.act_frac):
             FixedPointFormat(f)
+        if self.act_frac[:1] != [INPUT_FORMAT.frac_bits]:
+            raise ValueError(f"the input format must be Q2.13, got act_frac {self.act_frac[:1]}")
 
 
 def _align_bias(bias: np.ndarray, acc_frac: int) -> np.ndarray:
@@ -175,7 +178,8 @@ def _align_bias(bias: np.ndarray, acc_frac: int) -> np.ndarray:
 
 
 def quantize_network(params: NetworkParams, calibration: np.ndarray) -> QuantizedNetwork:
-    """Quantize a trained float network under calibrated per-layer formats."""
+    """Quantize a trained float network: input ``INPUT_FORMAT``, the other
+    per-layer formats calibrated on ``calibration``."""
     params.validate()
     weight_frac, act_frac = choose_formats(params, calibration)
     weights = [
@@ -204,7 +208,8 @@ def quantize_frame(frame: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
 def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray:
     """Integer forward pass of a batch: (n, n_in) int16 -> (n, n_out) int64 logits.
 
-    ``frames_q`` must already be quantized under ``qnet.input_format``.
+    ``frames_q`` holds int16 samples in ``INPUT_FORMAT`` (Q2.13), the
+    input format of every network, so raw frames need no conversion.
     Each layer runs through ``kernels.layer_forward``, a float64 BLAS
     matmul on the network's pre-converted ``weights_f64``. The logits are
     the exact integers of the modelled datapath, whatever the batch size:
@@ -222,11 +227,8 @@ def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray
 
     x = frames_q
     for i in range(qnet.n_layers):
-        last = i == qnet.n_layers - 1
-        shift = 0 if last else qnet.requant_shift(i)
-        x = kernels.layer_forward(
-            qnet.weights_f64[i], qnet.biases[i], x, shift, not last, not last
-        )
+        shift = qnet.requant_shift(i) if i < qnet.n_layers - 1 else None
+        x = kernels.layer_forward(qnet.weights_f64[i], qnet.biases[i], x, shift)
     return x.astype(np.int64)
 
 

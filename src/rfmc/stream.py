@@ -21,9 +21,9 @@ so a client that never reads cannot stall the loop or grow the buffer.
 frames, so its working memory stays bounded however many connections
 are ready.
 
-What the integers mean is defined in ``rfmc.model``: a quantized model
-reads them under its own input format, a float model as Q2.13
-(``model.RAW_FLOAT_FORMAT``).
+What the integers mean is fixed: every sample is Q2.13
+(``quant.INPUT_FORMAT``), whichever model the server runs (see
+``rfmc.model``).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ def quantized_setup():
     rng = rng_from_seed(51)
     qnet = quant.quantize_network(params, rng.standard_normal((64, nn.ARCH[0])))
     frames = [
-        quant.quantize_frame(f, qnet.input_format) for f in bench.gaussian_frames(400, seed=52)
+        quant.quantize_frame(f, quant.INPUT_FORMAT) for f in bench.gaussian_frames(400, seed=52)
     ]
 
     def classifier(frame_q):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import model_oracle
+from test_fileio import with_input_frac
 from rfmc import cli, data, fileio, model, nn, quant, stream
-from rfmc.model import RAW_FLOAT_FORMAT
+from rfmc.quant import INPUT_FORMAT
 from rfmc.seeding import split_seed
 from rfmc.sigsynth import label_name
 from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, StreamServer
@@ -78,7 +79,7 @@ class TestGenData:
 class TestTrain:
     def test_model_has_valid_container(self, workspace):
         params = fileio.load_float_model(workspace["model"])
-        assert params.layer_dims == nn.ARCH
+        assert [w.shape for w in params.weights] == list(zip(nn.ARCH[1:], nn.ARCH[:-1]))
 
     def test_zero_epochs_writes_initialization(self, workspace, tmp_path):
         out = tmp_path / "init.rfmc"
@@ -124,7 +125,7 @@ class TestQuantize:
 
     def test_quantized_model_round_trips(self, workspace):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        assert qnet.layer_dims == nn.ARCH
+        assert [w.shape for w in qnet.weights] == list(zip(nn.ARCH[1:], nn.ARCH[:-1]))
         assert all(0 <= f <= 15 for f in qnet.weight_frac + qnet.act_frac)
 
 
@@ -159,12 +160,6 @@ class TestEval:
         assert "path quantized" in stdout
         assert "snr_db,n,accuracy" in stdout
 
-    def test_mismatched_path_flag_exits_2(self, workspace, capsys):
-        code, _, err = run_cli(capsys, "eval", "--model", str(workspace["qmodel"]),
-                               "--dataset", str(workspace["ds"]), "--path", "float")
-        assert code == 2
-        assert "does not match" in err
-
 
 class TestBench:
     @pytest.mark.parametrize("kind", ["float", "quantized"])
@@ -185,11 +180,11 @@ class TestBench:
 
 
 class TestClassify:
-    def make_raw_file(self, workspace, tmp_path, n_frames, trailing=0):
-        qnet = fileio.load_quantized_model(workspace["qmodel"])
+    @staticmethod
+    def make_raw_file(tmp_path, n_frames, trailing=0):
         rng = np.random.default_rng(77)
         frames = [
-            quant.quantize_frame(rng.standard_normal(1800) * 0.7, qnet.input_format)
+            quant.quantize_frame(rng.standard_normal(1800) * 0.7, INPUT_FORMAT)
             for _ in range(n_frames)
         ]
         blob = b"".join(f.astype("<i2").tobytes() for f in frames) + b"\x55" * trailing
@@ -198,7 +193,7 @@ class TestClassify:
         return path
 
     def test_three_complete_frames_three_lines(self, workspace, tmp_path, capsys):
-        raw = self.make_raw_file(workspace, tmp_path, 3)
+        raw = self.make_raw_file(tmp_path, 3)
         code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                     "--raw", str(raw))
         assert code == 0
@@ -206,7 +201,7 @@ class TestClassify:
         assert err == ""
 
     def test_trailing_bytes_warn_with_offset(self, workspace, tmp_path, capsys):
-        raw = self.make_raw_file(workspace, tmp_path, 3, trailing=100)
+        raw = self.make_raw_file(tmp_path, 3, trailing=100)
         code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                     "--raw", str(raw))
         assert code == 0
@@ -214,7 +209,7 @@ class TestClassify:
         assert f"byte offset {3 * FRAME_BYTES}" in err
 
     def test_raw_labels_match_single_frame_passes(self, workspace, tmp_path, capsys):
-        raw = self.make_raw_file(workspace, tmp_path, 5, trailing=7)
+        raw = self.make_raw_file(tmp_path, 5, trailing=7)
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                   "--raw", str(raw))
         assert code == 0
@@ -227,7 +222,7 @@ class TestClassify:
         assert stdout.splitlines() == expected
 
     def test_float_raw_labels_and_probabilities(self, workspace, tmp_path, capsys):
-        raw = self.make_raw_file(workspace, tmp_path, 6, trailing=3)
+        raw = self.make_raw_file(tmp_path, 6, trailing=3)
         code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace["model"]),
                                     "--raw", str(raw))
         assert code == 0
@@ -271,7 +266,7 @@ class TestClassify:
             assert line.split("\t")[3] == " ".join(f"{p:.6f}" for p in row)
 
     def test_both_inputs_rejected(self, workspace, tmp_path, capsys):
-        raw = self.make_raw_file(workspace, tmp_path, 1)
+        raw = self.make_raw_file(tmp_path, 1)
         code, _, err = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                "--dataset", str(workspace["ds"]), "--raw", str(raw))
         assert code == 2
@@ -303,7 +298,7 @@ class TestServe:
         server.start()
         try:
             frame = quant.quantize_frame(
-                np.random.default_rng(1).standard_normal(1800), qnet.input_format
+                np.random.default_rng(1).standard_normal(1800), INPUT_FORMAT
             )
             replies = self.send_frames(server.address, frame.astype("<i2").tobytes(), 1)
             assert len(replies) == 2
@@ -320,7 +315,7 @@ class TestServe:
         try:
             rng = np.random.default_rng(2)
             frames = [
-                quant.quantize_frame(rng.standard_normal(1800), qnet.input_format)
+                quant.quantize_frame(rng.standard_normal(1800), INPUT_FORMAT)
                 for _ in range(3)
             ]
             blob = b"".join(f.astype("<i2").tobytes() for f in frames)
@@ -339,7 +334,7 @@ class TestServe:
         try:
             rng = np.random.default_rng(3)
             per_client = [
-                [quant.quantize_frame(rng.standard_normal(1800), qnet.input_format)
+                [quant.quantize_frame(rng.standard_normal(1800), INPUT_FORMAT)
                  for _ in range(5)]
                 for _ in range(2)
             ]
@@ -370,22 +365,23 @@ class TestServe:
                 sock.sendall(b"\x01" * 100)  # partial frame, then close
             # server must still answer a fresh connection afterwards
             frame = quant.quantize_frame(
-                np.random.default_rng(4).standard_normal(1800), qnet.input_format
+                np.random.default_rng(4).standard_normal(1800), INPUT_FORMAT
             )
             replies = self.send_frames(server.address, frame.astype("<i2").tobytes(), 1)
             assert len(replies) == 2
         finally:
             server.stop()
 
-    def random_frames(self, qnet, n, seed):
+    @staticmethod
+    def random_frames(n, seed):
         rng = np.random.default_rng(seed)
-        return [quant.quantize_frame(rng.standard_normal(1800), qnet.input_format)
+        return [quant.quantize_frame(rng.standard_normal(1800), INPUT_FORMAT)
                 for _ in range(n)]
 
     @pytest.mark.parametrize("chunk", [None, 1001], ids=["one_sendall", "odd_chunks"])
     def test_forty_frames_in_order(self, workspace, chunk):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 40, seed=5)
+        frames = self.random_frames(40, seed=5)
         server = StreamServer(qnet)
         server.start()
         try:
@@ -399,7 +395,7 @@ class TestServe:
 
     def test_client_that_never_reads_does_not_stall_others(self, workspace):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 40, seed=6)
+        frames = self.random_frames(40, seed=6)
         blob = b"".join(f.astype("<i2").tobytes() for f in frames)
         server = StreamServer(qnet)
         server.start()
@@ -418,7 +414,7 @@ class TestServe:
         # the replies the client does not read pile up in the server.
         monkeypatch.setattr(stream, "MAX_PENDING_REPLY_BYTES", 64)
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 100, seed=9)
+        frames = self.random_frames(100, seed=9)
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         blob = b"".join(f.astype("<i2").tobytes() for f in frames)
         server = StreamServer(qnet)
@@ -458,7 +454,7 @@ class TestServe:
         # with small kernel buffers the server meets end of stream while
         # replies still wait in its own buffer, and must send them all.
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 100, seed=11)
+        frames = self.random_frames(100, seed=11)
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         blob = b"".join(f.astype("<i2").tobytes() for f in frames)
         server = StreamServer(qnet)
@@ -485,7 +481,7 @@ class TestServe:
         # rfmc serve starts the server, prints its address, then serves
         # forever on that same listener, at a fixed port
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frame = self.random_frames(qnet, 1, seed=10)[0]
+        frame = self.random_frames(1, seed=10)[0]
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -511,7 +507,7 @@ class TestServe:
 
     def test_one_thread_whatever_the_connections(self, workspace):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frame = self.random_frames(qnet, 1, seed=7)[0].astype("<i2").tobytes()
+        frame = self.random_frames(1, seed=7)[0].astype("<i2").tobytes()
         before = threading.active_count()
         server = StreamServer(qnet)
         server.start()
@@ -557,7 +553,7 @@ class TestServe:
         if logits_slice is not None:
             monkeypatch.setattr(model, "LOGITS_SLICE", logits_slice)
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 5, seed=12)
+        frames = self.random_frames(5, seed=12)
         blobs = [f.astype("<i2").tobytes() for f in frames]
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         server = StreamServer(qnet)
@@ -591,7 +587,7 @@ class TestServe:
         # returns it, b's frame joins the round's batch and the send of its
         # reply fails. Either way a is answered in full.
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 4, seed=13)
+        frames = self.random_frames(4, seed=13)
         blobs = [f.astype("<i2").tobytes() for f in frames]
         labels = [quant.quantized_forward(qnet, f)[1] for f in frames]
         server = StreamServer(qnet)
@@ -622,8 +618,7 @@ class TestServe:
 
     def test_float_model_replies_float_labels(self, workspace):
         params = fileio.load_float_model(workspace["model"])
-        qnet = fileio.load_quantized_model(workspace["qmodel"])
-        frames = self.random_frames(qnet, 12, seed=8)
+        frames = self.random_frames(12, seed=8)
         server = StreamServer(params)
         server.start()
         try:
@@ -631,7 +626,7 @@ class TestServe:
             replies = self.send_frames(server.address, blob, 12, chunk=1001)
         finally:
             server.stop()
-        expected = [model_oracle.classify(params, quant.dequantize_array(f, RAW_FLOAT_FORMAT))
+        expected = [model_oracle.classify(params, quant.dequantize_array(f, INPUT_FORMAT))
                     for f in frames]
         assert list(replies[0::2]) == expected
         assert set(replies[1::2]) == {PATH_FLOAT}
@@ -654,6 +649,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "eval", "--self-test", "--dataset", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_model_with_a_second_input_format_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "q1_14.rfmc"
+        bad.write_bytes(with_input_frac(workspace["qmodel"].read_bytes(), 14))
+        raw = TestClassify.make_raw_file(tmp_path, 2)
+        code, stdout, err = run_cli(capsys, "classify", "--model", str(bad), "--raw", str(raw))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and "Q2.13" in err
 
     def test_hostile_model_header_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "hostile.rfmc"

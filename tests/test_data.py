@@ -103,6 +103,20 @@ class TestSplit:
         key = lambda arr: sorted(arr.tobytes() for arr in arr)  # noqa: E731
         assert key(combined) == key(tiny_dataset.frames)
 
+    def test_halves_own_their_records(self, tiny_dataset):
+        halves = data.split(tiny_dataset, 0.8, seed=5)
+        for half in halves:
+            for name in ("frames", "labels", "snr_db"):
+                assert not np.shares_memory(getattr(half, name), getattr(tiny_dataset, name))
+
+        def records(ds):
+            return sorted(
+                (int(label), np.float32(snr).tobytes(), frame.tobytes())
+                for label, snr, frame in zip(ds.labels, ds.snr_db, ds.frames)
+            )
+
+        assert sorted(records(halves[0]) + records(halves[1])) == records(tiny_dataset)
+
     def test_deterministic(self, tiny_dataset):
         a_train, a_test = data.split(tiny_dataset, 0.8, seed=7)
         b_train, b_test = data.split(tiny_dataset, 0.8, seed=7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rfmc import model, nn, quant
-from rfmc.model import RAW_FLOAT_FORMAT
+from rfmc.quant import INPUT_FORMAT
 from test_quant import per_neuron_accumulators
 
 
@@ -18,11 +18,7 @@ def frames(small_pipeline):
 
 @pytest.fixture(scope="module")
 def qnet(small_pipeline):
-    """Calibrated on louder frames, so its input format is wider than Q2.13
-    and the two kinds read the same raw integers differently."""
-    qnet = quant.quantize_network(small_pipeline["params"], small_pipeline["train"].frames * 4)
-    assert qnet.input_format != RAW_FLOAT_FORMAT
-    return qnet
+    return small_pipeline["qnet"]
 
 
 @pytest.fixture(params=["float", "quantized"])
@@ -30,17 +26,14 @@ def net(request, small_pipeline, qnet):
     return small_pipeline["params"] if request.param == "float" else qnet
 
 
-def raw_frames(net, frames):
-    return quant.quantize_array(frames, model.raw_format(net))
+def raw_frames(frames):
+    return quant.quantize_array(frames, INPUT_FORMAT)
 
 
 class TestKind:
-    def test_path_and_raw_format(self, small_pipeline, qnet):
-        params = small_pipeline["params"]
-        assert model.path(params) == "float"
+    def test_path(self, small_pipeline, qnet):
+        assert model.path(small_pipeline["params"]) == "float"
         assert model.path(qnet) == "quantized"
-        assert model.raw_format(params) == RAW_FLOAT_FORMAT == quant.FixedPointFormat(13)
-        assert model.raw_format(qnet) == qnet.input_format
 
 
 class TestBatchRows:
@@ -55,7 +48,7 @@ class TestBatchRows:
             assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
 
     def test_raw_logits_rows_equal_one_row_calls(self, net, frames):
-        frames_q = raw_frames(net, frames)
+        frames_q = raw_frames(frames)
         batch = model.raw_logits(net, frames_q)
         rows = np.concatenate([model.raw_logits(net, f[np.newaxis]) for f in frames_q])
         assert batch.shape == (len(frames), 7)
@@ -65,7 +58,7 @@ class TestBatchRows:
             assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
 
     def test_slices_give_the_whole_batch(self, net, frames, monkeypatch):
-        inputs = [(model.logits, frames), (model.raw_logits, raw_frames(net, frames))]
+        inputs = [(model.logits, frames), (model.raw_logits, raw_frames(frames))]
         wholes = [run(net, batch) for run, batch in inputs]
         monkeypatch.setattr(model, "LOGITS_SLICE", 3)  # 16 frames: 5 slices of 3, then 1
         for (run, batch), whole in zip(inputs, wholes):
@@ -81,12 +74,18 @@ class TestBatchRows:
 
 class TestQuantized:
     def test_logits_quantize_under_the_input_format(self, qnet, frames):
-        expected = [quant.quantized_forward(qnet, quant.quantize_frame(f, qnet.input_format))[0]
+        expected = [quant.quantized_forward(qnet, quant.quantize_frame(f, INPUT_FORMAT))[0]
                     for f in frames]
         assert np.array_equal(model.logits(qnet, frames), np.stack(expected))
 
+    def test_raw_logits_of_q2_13_frames_equal_logits(self, qnet, frames):
+        # one meaning for a raw frame: int16 in Q2.13 is what ``logits``
+        # feeds the datapath
+        raw = model.raw_logits(qnet, raw_frames(frames))
+        assert np.array_equal(raw, model.logits(qnet, frames))
+
     def test_raw_logits_match_per_neuron_oracle(self, qnet, frames):
-        frames_q = raw_frames(qnet, frames[:4])
+        frames_q = raw_frames(frames[:4])
         expected = [per_neuron_accumulators(qnet, f)[-1] for f in frames_q]
         assert model.raw_logits(qnet, frames_q).tolist() == expected
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_oracle import quantize_value
-from rfmc import model, nn, quant
+from rfmc import data, model, nn, quant
 from rfmc.kernels import ACC_LIMIT, INT16_MAX, INT16_MIN
-from rfmc.quant import FixedPointFormat, QuantizedNetwork
+from rfmc.quant import INPUT_FORMAT, FixedPointFormat, QuantizedNetwork
 
 FORMATS = st.integers(min_value=0, max_value=15)
 
@@ -26,8 +26,8 @@ def max_value(fmt: FixedPointFormat) -> float:
 def hand_toy_qnet() -> QuantizedNetwork:
     """2-2-2 network with power-of-two values, checkable by hand.
 
-    Formats: input Q2.13 is not used here; a0=14, w0=14, a1=12, w1=13.
-    Float view: W0=[[1,-0.5],[0.25,0.25]], b0=[0.5,-0.25] (bias at 2^28),
+    Formats: input a0=13 (Q2.13, as for every network), w0=14, a1=12, w1=13.
+    Float view: W0=[[1,-0.5],[0.25,0.25]], b0=[0.5,-0.25] (bias at 2^27),
     W1=[[1,-1],[0.5,1]], b1=[0,0.125] (bias at 2^25).
     """
     return QuantizedNetwork(
@@ -36,11 +36,11 @@ def hand_toy_qnet() -> QuantizedNetwork:
             np.array([[8192, -8192], [4096, 8192]], np.int16),
         ],
         biases=[
-            np.array([134217728, -67108864], np.int64),
+            np.array([67108864, -33554432], np.int64),
             np.array([0, 4194304], np.int64),
         ],
         weight_frac=[14, 13],
-        act_frac=[14, 12],
+        act_frac=[13, 12],
     )
 
 
@@ -183,6 +183,23 @@ class TestQuantizeNetwork:
             err = np.abs(quant.dequantize_array(w_q, fmt) - w_float)
             assert np.all(err[in_range] <= 2.0 ** (-frac - 1) + 1e-15)
 
+    def test_input_format_is_q2_13_where_calibration_would_widen_it(self):
+        # high-SNR frames peak below 2, where a calibrated input format
+        # would be Q1.14; the input still reads Q2.13
+        frames = data.build_dataset(data.DatasetSpec(
+            frames_per_class=10, snr_grid=(10.0, 12.0, 14.0, 16.0, 18.0), master_seed=3
+        )).frames
+        peak = float(np.percentile(np.abs(frames), quant.CALIBRATION_PERCENTILE))
+        assert quant.fmt_for_magnitude(peak).frac_bits == 14
+        qnet = quant.quantize_network(nn.init_params(nn.ARCH, seed=1), frames)
+        assert qnet.act_frac[0] == INPUT_FORMAT.frac_bits == 13
+
+    @pytest.mark.parametrize("input_frac", [0, 12, 14, 15])
+    def test_other_input_format_rejected(self, input_frac):
+        toy = hand_toy_qnet()
+        with pytest.raises(ValueError, match="Q2.13"):
+            QuantizedNetwork(toy.weights, toy.biases, toy.weight_frac, [input_frac, 12])
+
 
 class TestQuantizeFrame:
     def test_zero_frame(self):
@@ -241,15 +258,15 @@ class TestQuantizedForward:
         qnet = hand_toy_qnet()
         x = np.zeros(2, dtype=np.int16)
         logits, label = quant.quantized_forward(qnet, x)
-        # layer 0 from biases: acc=(2^27, -2^26) -> relu -> shift 16 -> (2048, 0)
+        # layer 0 from biases: acc=(2^26, -2^25) -> relu -> shift 15 -> (2048, 0)
         # layer 1: (8192*2048, 4096*2048 + 4194304) = (16777216, 12582912)
         assert list(logits) == [16777216, 12582912]
         assert label == 0
 
     def test_hand_toy_exact_integers(self):
         qnet = hand_toy_qnet()
-        x = quant.quantize_frame(np.array([0.75, 0.5]), qnet.input_format)
-        assert list(x) == [12288, 8192]
+        x = quant.quantize_frame(np.array([0.75, 0.5]), INPUT_FORMAT)
+        assert list(x) == [6144, 4096]
         logits, label = quant.quantized_forward(qnet, x)
         assert list(logits) == [31457280, 23068672]
         assert label == 0
@@ -259,7 +276,7 @@ class TestQuantizedForward:
         params = nn.init_params((32, 12, 7), seed=6)
         qnet = quant.quantize_network(params, rng.standard_normal((64, 32)))
         frames_q = np.stack([
-            quant.quantize_frame(rng.standard_normal(32), qnet.input_format) for _ in range(10)
+            quant.quantize_frame(rng.standard_normal(32), INPUT_FORMAT) for _ in range(10)
         ])
         expected = [per_neuron_accumulators(qnet, f)[-1] for f in frames_q]
         if batched:
@@ -274,7 +291,7 @@ class TestQuantizedForward:
             weights=[np.zeros((3, 2), np.int16)],
             biases=[np.array([7, 7, 1], np.int64)],
             weight_frac=[10],
-            act_frac=[10],
+            act_frac=[13],
         )
         _, label = quant.quantized_forward(qnet, np.zeros(2, np.int16))
         assert label == 0
@@ -314,7 +331,7 @@ class TestQuantizedForward:
         # inside the 48-bit register, and the engine's logits equal them
         qnet = small_pipeline["qnet"]
         frame = small_pipeline["test"].frames[0]
-        frame_q = quant.quantize_frame(frame, qnet.input_format)
+        frame_q = quant.quantize_frame(frame, INPUT_FORMAT)
         layers = per_neuron_accumulators(qnet, frame_q)
         assert max(abs(a) for accs in layers for a in accs) < ACC_LIMIT
         logits, _ = quant.quantized_forward(qnet, frame_q)
@@ -328,7 +345,7 @@ class TestAccumulatorBound:
         weights = np.full((1, n_in), 32767, np.int16)
         x = np.full(n_in, 32767, np.int16)
         bias = np.array([2**31 - 1], np.int64)
-        qnet = QuantizedNetwork([weights], [bias], [15], [15])
+        qnet = QuantizedNetwork([weights], [bias], [15], [13])
         logits, _ = quant.quantized_forward(qnet, x)
         expected = 1800 * 32767 * 32767 + 2**31 - 1  # python big ints
         assert int(logits[0]) == expected
@@ -339,7 +356,7 @@ class TestAccumulatorBound:
         weights = np.full((1, n_in), -32768, np.int16)
         x = np.full(n_in, 32767, np.int16)
         bias = np.array([-(2**31), 0], np.int64)[:1]
-        qnet = QuantizedNetwork([weights], [bias], [15], [15])
+        qnet = QuantizedNetwork([weights], [bias], [15], [13])
         logits, _ = quant.quantized_forward(qnet, x)
         expected = -1800 * 32768 * 32767 - 2**31
         assert int(logits[0]) == expected
@@ -349,7 +366,7 @@ class TestAccumulatorBound:
         # 2**17 inputs at -32768 and a zero bias: static bound exactly 2**47
         weights = np.full((1, 2**17), -32768, np.int16)
         with pytest.raises(ValueError, match="48-bit"):
-            QuantizedNetwork([weights], [np.zeros(1, np.int64)], [15], [15])
+            QuantizedNetwork([weights], [np.zeros(1, np.int64)], [15], [13])
 
 
 class TestArgmaxInvariance:
