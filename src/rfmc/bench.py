@@ -5,8 +5,9 @@ quantization never pollute the numbers. ``rfmc bench`` hands both model
 kinds the same raw int16 frames, in the Q2.13 format every model reads
 (see ``rfmc.model``), so the float and the quantized path are timed on
 the same int16-in path that ``rfmc serve`` runs. Frames are classified one
-at a time in one thread, so each sample is one frame's latency. Per-frame
-samples are kept on the report for auditing.
+at a time in one thread, so each sample is one frame's latency, and the
+rate is the frames over the timed loop's wall time. Per-frame samples are
+kept on the report for auditing.
 """
 
 from __future__ import annotations
@@ -42,40 +43,32 @@ class LatencyReport:
     labels: np.ndarray = field(repr=False)
 
 
-def gaussian_frames(n: int, seed: int = 12345) -> list[np.ndarray]:
-    """Seeded unit-power Gaussian frames for timing runs."""
-    rng = rng_from_seed(seed)
-    return [rng.standard_normal(FRAME_LEN) * np.sqrt(0.5) for _ in range(n)]
+def gaussian_frames(n: int, seed: int = 12345) -> np.ndarray:
+    """(n, FRAME_LEN) seeded unit-power Gaussian frames for timing runs."""
+    return rng_from_seed(seed).standard_normal((n, FRAME_LEN)) * np.sqrt(0.5)
 
 
-def bench_inference(
-    classifier,
-    n_frames: int,
-    frames: list[np.ndarray],
-    warmup: int = 100,
-    path: str = "float",
-) -> LatencyReport:
-    """Time single-frame classification over the first ``n_frames`` of ``frames``.
+def bench_inference(classifier, frames, warmup: int = 100, path: str = "float") -> LatencyReport:
+    """Time single-frame classification of every frame in ``frames``.
 
-    ``rfmc bench`` passes int16 frames for either path. Warmup frames are
-    classified and discarded before measurement begins.
+    ``classifier`` maps one frame to its label; ``rfmc bench`` passes int16
+    frames for either path. The first ``warmup`` frames are classified and
+    discarded before measurement begins.
     """
+    n_frames = len(frames)
     if n_frames < MIN_FRAMES:
         raise ValueError(f"n_frames must be >= {MIN_FRAMES}")
-    if len(frames) < n_frames:
-        raise ValueError("not enough pre-generated frames")
-    frames = frames[:n_frames]
 
-    for i in range(min(warmup, len(frames))):
-        classifier(frames[i])
+    for frame in frames[:max(warmup, 0)]:
+        classifier(frame)
 
     samples = np.empty(n_frames, dtype=np.int64)
     labels = np.empty(n_frames, dtype=np.int64)
 
     wall_start = time.perf_counter_ns()
-    for i in range(n_frames):
+    for i, frame in enumerate(frames):
         t0 = time.perf_counter_ns()
-        label = classifier(frames[i])
+        label = classifier(frame)
         samples[i] = time.perf_counter_ns() - t0
         labels[i] = label
     wall_ns = time.perf_counter_ns() - wall_start
@@ -90,21 +83,6 @@ def bench_inference(
         samples_ns=samples,
         labels=labels,
     )
-
-
-def bench_throughput(classifier, duration_seconds: float, frames: list[np.ndarray]) -> float:
-    """Sustained frames/second over at least ``duration_seconds``, cycling through ``frames``."""
-    if duration_seconds < 1.0:
-        raise ValueError("duration_seconds must be >= 1")
-    classifier(frames[0])  # warm any lazy compilation
-    count = 0
-    start = time.perf_counter()
-    while True:
-        classifier(frames[count % len(frames)])
-        count += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= duration_seconds:
-            return count / elapsed
 
 
 def format_latency_report(report: LatencyReport) -> str:

@@ -3,12 +3,14 @@
 Subcommands wire the library end to end: gen-data -> train -> quantize ->
 eval / bench / classify / serve. Every command exits 0 on success, 1 on a
 runtime failure (missing/corrupt files and the like), and 2 on usage
-errors. All randomness hangs off --seed, so reruns are byte-identical.
+errors; a reader that closes stdout early is not a failure. All
+randomness hangs off --seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -81,12 +83,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     t0 = time.time()
     params, history = nn.train(train_ds.frames, train_ds.labels, config)
-    print(f"trained {len(train_ds)} frames, {args.epochs} epochs in {time.time() - t0:.1f}s")
+    elapsed = time.time() - t0
+    fileio.save_float_model(args.out, params)
+    print(f"trained {len(train_ds)} frames, {args.epochs} epochs in {elapsed:.1f}s")
     for epoch, loss in enumerate(history, 1):
         print(f"  epoch {epoch:3d} loss {loss:.4f}")
-    print(f"train_accuracy {nn.accuracy(params, train_ds.frames, train_ds.labels):.4f}")
-    print(f"validation_accuracy {nn.accuracy(params, val_ds.frames, val_ds.labels):.4f}")
-    fileio.save_float_model(args.out, params)
+    for name, split in (("train", train_ds), ("validation", val_ds)):
+        print(f"{name}_accuracy {np.mean(_labeler(params)(split.frames) == split.labels):.4f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -97,7 +100,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     qnet = quant.quantize_network(params, calibration.frames)
     fileio.save_quantized_model(args.out, qnet)
     print(f"wrote {args.out}")
-    print(f"input_format Q{15 - qnet.act_frac[0]}.{qnet.act_frac[0]} "
+    print(f"input_format Q{15 - quant.INPUT_FORMAT.frac_bits}.{quant.INPUT_FORMAT.frac_bits} "
           f"(raw int16 streams must be pre-quantized to this format)")
     for i in range(qnet.n_layers):
         fmt = quant.FixedPointFormat(qnet.weight_frac[i])
@@ -153,18 +156,13 @@ def _labeler(net):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     net = fileio.load_model(args.model)
-    frames_q = list(quant.quantize_array(bench.gaussian_frames(args.frames), quant.INPUT_FORMAT))
+    frames_q = quant.quantize_array(bench.gaussian_frames(max(args.frames, 0)), quant.INPUT_FORMAT)
 
     def classifier(frame_q):
         return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
 
-    report = bench.bench_inference(
-        classifier, args.frames, warmup=args.warmup, frames=frames_q, path=model.path(net)
-    )
+    report = bench.bench_inference(classifier, frames_q, warmup=args.warmup, path=model.path(net))
     print(bench.format_latency_report(report))
-    if args.duration is not None:
-        fps = bench.bench_throughput(classifier, args.duration, frames=frames_q)
-        print(f"sustained_frames_per_second {fps:.1f}")
     return EXIT_OK
 
 
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=100)
-    p.add_argument("--duration", type=float, help="also measure sustained throughput (s)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("classify", help="print one line per classified frame")
@@ -277,7 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head -1`). Each command has written
+        # its file before printing; what is still buffered goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,8 +3,8 @@
 A classifier here is any callable mapping a batch of frames, shape
 (n, 1800), to n label ids. Both inference paths are scored by the same
 code: the CLI passes the argmax of ``rfmc.model.logits``, which reads the
-dataset's float frames (a quantized model quantizes them under its own
-input format; raw int16 input is defined in ``rfmc.model``).
+dataset's float frames (a quantized model quantizes them to Q2.13, the
+input format of every model; raw int16 input is defined in ``rfmc.model``).
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ def logits(model, frames: np.ndarray) -> np.ndarray:
     """
     if path(model) == "quantized":
         return quant.quantized_logits(model, quant.quantize_array(frames, INPUT_FORMAT))
-    return nn.forward_batch(model, frames)[0]
+    return nn.forward_batch(model, frames)
 
 
 @_in_slices
@@ -69,4 +69,4 @@ def raw_logits(model, frames_q: np.ndarray) -> np.ndarray:
     """
     if path(model) == "quantized":
         return quant.quantized_logits(model, frames_q)
-    return nn.forward_batch(model, quant.dequantize_array(frames_q, INPUT_FORMAT))[0]
+    return nn.forward_batch(model, quant.dequantize_array(frames_q, INPUT_FORMAT))

@@ -4,10 +4,11 @@ The production architecture is 1800-100-20-7 (ReLU hidden layers, softmax
 output, cross-entropy loss), but every routine works for arbitrary layer
 dims so small networks can be checked against independent oracles.
 
-Every program path runs batches: ``forward_batch`` for inference (through
-``rfmc.model``), ``_forward_backward`` and the in-place ``adam_update`` for
-training. ``forward`` and ``adam_step`` are one-frame and copying forms
-that stay only because the benchmark traces them.
+``activations`` is the one float forward pass. Inference (``forward_batch``,
+through ``rfmc.model``), training (``_forward_backward``, then the in-place
+``adam_update``) and quantization's calibration all read their layers from
+it. ``forward`` and ``adam_step`` are one-frame and copying forms that stay
+only because the benchmark traces them.
 """
 
 from __future__ import annotations
@@ -148,13 +149,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_batch(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probs) for a (n, in_dim) batch."""
-    h = x
+def activations(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """[x, h1, ..., logits] for a (n, in_dim) batch: each layer's input, then
+    the output layer's logits. Hidden layers are ReLU."""
+    acts = [x]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = relu(h @ w.T + b)
-    logits = h @ params.weights[-1].T + params.biases[-1]
-    return logits, softmax(logits)
+        acts.append(relu(acts[-1] @ w.T + b))
+    acts.append(acts[-1] @ params.weights[-1].T + params.biases[-1])
+    return acts
+
+
+def forward_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Logits for a (n, in_dim) batch."""
+    return activations(params, x)[-1]
 
 
 def forward(params: NetworkParams, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +173,8 @@ def forward(params: NetworkParams, frame: np.ndarray) -> tuple[np.ndarray, np.nd
     in_dim = params.weights[0].shape[1]
     if x.shape != (in_dim,):
         raise ValueError(f"frame must have shape ({in_dim},), got {x.shape}")
-    logits, probs = forward_batch(params, x[None, :])
-    return logits[0], probs[0]
+    logits = forward_batch(params, x[None, :])[0]
+    return logits, softmax(logits)
 
 
 def _forward_backward(
@@ -175,17 +182,8 @@ def _forward_backward(
 ) -> tuple[Gradients, float]:
     """Mean cross-entropy gradients over a batch, plus the mean loss."""
     n = x.shape[0]
-    # Forward, caching pre-activations.
-    acts = [x]
-    zs = []
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w.T + b
-        zs.append(z)
-        h = relu(z)
-        acts.append(h)
-    logits = h @ params.weights[-1].T + params.biases[-1]
-    probs = softmax(logits)
+    acts = activations(params, x)
+    probs = softmax(acts[-1])
 
     picked = probs[np.arange(n), labels]
     loss = float(np.mean(-np.log(np.maximum(picked, LOSS_CLAMP))))
@@ -202,8 +200,8 @@ def _forward_backward(
         grad_w[i] = delta.T @ acts[i]
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            # ReLU subgradient: 0 at exactly 0.
-            delta = (delta @ params.weights[i]) * (zs[i - 1] > 0)
+            # ReLU subgradient, 0 at exactly 0: acts[i] = max(z, 0) > 0 iff z > 0.
+            delta = (delta @ params.weights[i]) * (acts[i] > 0)
     return Gradients(grad_w, grad_b), loss
 
 
@@ -318,9 +316,3 @@ def train(
         history.append(epoch_loss / n_batches)
     return params, history
 
-
-def accuracy(params: NetworkParams, frames: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of frames whose argmax class matches the label."""
-    x = np.asarray(frames, dtype=np.float64)
-    logits, _ = forward_batch(params, x)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import INT16_MAX, INT16_MIN
-from .nn import NetworkParams, relu
+from .nn import NetworkParams, activations
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -99,18 +99,12 @@ def choose_formats(
     if cal.shape[1] != params.weights[0].shape[1]:
         raise ValueError("calibration frames do not match the network input dim")
 
-    weight_frac = [
-        fmt_for_magnitude(float(np.percentile(np.abs(w), CALIBRATION_PERCENTILE)))
-        .frac_bits
-        for w in params.weights
-    ]
+    def covering(values: np.ndarray) -> int:
+        peak = float(np.percentile(np.abs(values), CALIBRATION_PERCENTILE))
+        return fmt_for_magnitude(peak).frac_bits
 
-    act_frac = [INPUT_FORMAT.frac_bits]
-    h = cal
-    for i in range(params.n_layers - 1):
-        h = relu(h @ params.weights[i].T + params.biases[i])
-        peak = float(np.percentile(np.abs(h), CALIBRATION_PERCENTILE))
-        act_frac.append(fmt_for_magnitude(peak).frac_bits)
+    weight_frac = [covering(w) for w in params.weights]
+    act_frac = [INPUT_FORMAT.frac_bits] + [covering(h) for h in activations(params, cal)[1:-1]]
     return weight_frac, act_frac
 
 

@@ -1,10 +1,14 @@
 """Tests for the command-line interface and the TCP stream classifier."""
 
 import hashlib
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from rfmc.sigsynth import label_name
 from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, StreamServer
 
 SOCKET_TIMEOUT_S = 10.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +103,19 @@ class TestTrain:
             assert cli.main(["train", "--dataset", str(workspace["ds"]), "--out", str(out),
                              "--epochs", "1", "--seed", "9"]) == 0
         assert file_digest(a) == file_digest(b)
+
+    def test_printed_accuracies_are_model_logits_argmax(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.rfmc"
+        code, stdout, _ = run_cli(capsys, "train", "--dataset", str(workspace["ds"]),
+                                  "--out", str(out), "--epochs", "2", "--seed", "5")
+        assert code == 0
+        printed = dict(line.split() for line in stdout.splitlines()
+                       if line.split()[0] in ("train_accuracy", "validation_accuracy"))
+        net = fileio.load_model(out)
+        splits = data.split(data.load_dataset(workspace["ds"]), 0.8, seed=5)
+        for name, split in zip(("train", "validation"), splits):
+            expected = np.mean(np.argmax(model.logits(net, split.frames), axis=1) == split.labels)
+            assert float(printed[f"{name}_accuracy"]) == pytest.approx(expected, abs=5e-5)
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--dataset", str(tmp_path / "nope.rfds"),
@@ -683,6 +701,30 @@ class TestExitCodes:
                                "--dataset", str(bad))
         assert code == 1
         assert err.startswith("error:") and "after the checksum trailer" in err
+
+    @pytest.mark.parametrize("command, unbuffered", [
+        ("gen-data", ""), ("gen-data", "1"), ("train", "1"),
+    ])
+    def test_closed_stdout_exits_0_quietly(self, workspace, tmp_path, command, unbuffered):
+        # Unbuffered, the first print meets the closed pipe; buffered, the
+        # flush at the end does.
+        out = tmp_path / "out.bin"
+        argv = {
+            "gen-data": ["gen-data", "--frames-per-class", "5"],
+            "train": ["train", "--dataset", str(workspace["ds"]), "--epochs", "1"],
+        }[command] + ["--out", str(out)]
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "rfmc.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_OK
+        assert err == b""
+        if command == "gen-data":
+            assert len(data.load_dataset(out)) == 35
+        else:
+            assert fileio.load_float_model(out).n_layers == 3
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

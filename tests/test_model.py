@@ -99,10 +99,10 @@ class TestFloat:
         params = small_pipeline["params"]
         rng = np.random.default_rng(5)
         frames_q = rng.integers(-32768, 32768, size=(9, 1800), dtype=np.int16)
-        expected, _ = nn.forward_batch(params, frames_q / 8192)
+        expected = nn.forward_batch(params, frames_q / 8192)
         assert np.array_equal(model.raw_logits(params, frames_q), expected)
 
     def test_logits_match_forward_batch(self, small_pipeline, frames):
         params = small_pipeline["params"]
-        expected, _ = nn.forward_batch(params, frames)
+        expected = nn.forward_batch(params, frames)
         assert np.array_equal(model.logits(params, frames), expected)

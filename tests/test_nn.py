@@ -57,7 +57,7 @@ def numeric_gradients(params, x, y, h=1e-5):
     y1 = np.atleast_1d(y)
 
     def loss_at(p):
-        _, probs = nn.forward_batch(p, x2)
+        probs = nn.softmax(nn.forward_batch(p, x2))
         picked = probs[np.arange(len(y1)), y1]
         return float(np.mean(-np.log(np.maximum(picked, nn.LOSS_CLAMP))))
 
@@ -160,19 +160,29 @@ class TestForward:
         _, probs = nn.forward(params, frame)
         assert probs == pytest.approx(np.full(7, 1 / 7), abs=1e-15)
 
+    TOY_2_2_2 = NetworkParams(
+        [np.array([[1.0, -1.0], [0.5, 0.25]]), np.array([[2.0, 1.0], [-1.0, 0.5]])],
+        [np.array([0.1, -0.2]), np.array([0.05, 0.15])],
+    )
+
     def test_toy_2_2_2_hand_computation(self):
         # Hand-worked with scalar math; no matrix routine involved.
-        params = NetworkParams(
-            [np.array([[1.0, -1.0], [0.5, 0.25]]), np.array([[2.0, 1.0], [-1.0, 0.5]])],
-            [np.array([0.1, -0.2]), np.array([0.05, 0.15])],
-        )
         x = np.array([0.3, -0.6])
         # z1 = (0.3 + 0.6 + 0.1, 0.15 - 0.15 - 0.2) = (1.0, -0.2); a1 = (1.0, 0.0)
         # logits = (2*1.0 + 0.05, -1*1.0 + 0.15) = (2.05, -0.85)
-        logits, probs = nn.forward(params, x)
+        logits, probs = nn.forward(self.TOY_2_2_2, x)
         assert logits == pytest.approx([2.05, -0.85], abs=1e-12)
         e0, e1 = math.exp(2.05), math.exp(-0.85)
         assert probs == pytest.approx([e0 / (e0 + e1), e1 / (e0 + e1)], abs=1e-12)
+
+    def test_activations_are_each_layer_input_then_logits(self):
+        # The same hand computation, layer by layer, for a batch of two.
+        x = np.array([[0.3, -0.6], [0.0, 0.0]])
+        acts = nn.activations(self.TOY_2_2_2, x)
+        assert len(acts) == 3 and acts[0] is x
+        assert np.allclose(acts[1], [[1.0, 0.0], [0.1, 0.0]], rtol=0, atol=1e-12)
+        assert np.allclose(acts[2], [[2.05, -0.85], [0.25, 0.05]], rtol=0, atol=1e-12)
+        assert np.array_equal(nn.forward_batch(self.TOY_2_2_2, x), acts[2])
 
     def test_probs_sum_to_one(self, rng):
         params = nn.init_params((1800, 100, 20, 7), seed=1)
@@ -309,7 +319,7 @@ class TestTrain:
         assert perceptron_separable(x, y), "oracle: toy set must be separable"
         config = TrainConfig(epochs=200, batch_size=8, seed=2)
         params, history = nn.train(x, y, config, layer_dims=(4, 8, 2))
-        assert nn.accuracy(params, x, y) == 1.0
+        assert np.array_equal(np.argmax(nn.forward_batch(params, x), axis=1), y)
         assert len(history) == 200
 
     def test_smoothed_loss_non_increasing(self):
