@@ -18,13 +18,7 @@ import functools
 import numpy as np
 
 from . import nn, quant
-from .quant import INPUT_FORMAT, QuantizedNetwork
-
-# Frames per slice in ``logits`` and ``raw_logits``. A large batch runs
-# slice by slice, so its float64 working copies (14.4 KB per frame each)
-# stay bounded whatever its size; on 14,000 frames 1024-frame slices ran
-# as fast as any size tried.
-LOGITS_SLICE = 1024
+from .quant import INPUT_FORMAT, LOGITS_SLICE, QuantizedNetwork
 
 
 def path(model) -> str:

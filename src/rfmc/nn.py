@@ -9,6 +9,13 @@ through ``rfmc.model``), training (``_forward_backward``, then the in-place
 ``adam_update``) and quantization's calibration all read their layers from
 it. ``forward`` and ``adam_step`` are one-frame and copying forms that stay
 only because the benchmark traces them.
+
+``train`` runs in float32: frames, parameters, gradients and Adam state.
+The deployed datapath is 16-bit fixed point, so float64 training carries
+precision that deployment throws away. ``train`` returns float64
+widenings of its float32 parameters, which are exact, so model files,
+float inference and quantization see float64 as before. The other
+routines compute in the dtype they are given.
 """
 
 from __future__ import annotations
@@ -65,6 +72,11 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         return NetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def astype(self, dtype) -> "NetworkParams":
+        return NetworkParams(
+            [w.astype(dtype) for w in self.weights], [b.astype(dtype) for b in self.biases]
+        )
 
     def validate(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -125,14 +137,19 @@ class AdamState:
 
 
 def init_params(layer_dims: tuple[int, ...] = ARCH, seed: int = 0) -> NetworkParams:
-    """He-style uniform init (+-sqrt(6/fan_in)), zero biases."""
+    """He-style uniform init (+-sqrt(6/fan_in)), zero biases.
+
+    The float64 weights hold float32-representable values, so ``train``
+    starts from them exactly and ``train(epochs=0)`` returns them.
+    """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
     rng = rng_from_seed(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
+        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        weights.append(w.astype(np.float32).astype(np.float64))
         biases.append(np.zeros(fan_out))
     return NetworkParams(weights, biases)
 
@@ -142,8 +159,11 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax along the last axis."""
-    z = np.asarray(z, dtype=np.float64)
+    """Max-shifted softmax along the last axis, in float32 for float32
+    logits and in float64 otherwise."""
+    z = np.asarray(z)
+    if z.dtype != np.float32:
+        z = z.astype(np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -180,7 +200,11 @@ def forward(params: NetworkParams, frame: np.ndarray) -> tuple[np.ndarray, np.nd
 def _forward_backward(
     params: NetworkParams, x: np.ndarray, labels: np.ndarray
 ) -> tuple[Gradients, float]:
-    """Mean cross-entropy gradients over a batch, plus the mean loss."""
+    """Mean cross-entropy gradients over a batch, plus the mean loss.
+
+    The gradients take the dtype of ``params`` and ``x``: float32 in
+    ``train``, float64 for the finite-difference checks.
+    """
     n = x.shape[0]
     acts = activations(params, x)
     probs = softmax(acts[-1])
@@ -278,10 +302,15 @@ def train(
     Requires every output class to be present in ``labels``. Batches are
     reshuffled each epoch from the config seed, so the whole run is a pure
     function of (frames, labels, config).
+
+    Training runs in float32: float32 frames are used as they are (others
+    are converted once), and the parameters, gradients, Adam moments and
+    weight decay are float32. The returned parameters are float64
+    widenings of the float32 ones, so they hold exactly what was trained.
     """
     config = config or TrainConfig()
     config.validate()
-    x = np.asarray(frames, dtype=np.float64)
+    x = np.asarray(frames, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("frames must be a non-empty (n, dim) array")
@@ -293,12 +322,12 @@ def train(
         raise ValueError(f"dataset is missing classes: {missing}")
 
     init_seed, shuffle_seed = split_seed(config.seed, 2)
-    params = init_params(layer_dims, seed=init_seed)
+    params = init_params(layer_dims, seed=init_seed).astype(np.float32)
     state = AdamState.zeros(params)
     shuffle_rng = rng_from_seed(shuffle_seed)
 
     n = x.shape[0]
-    decay = 1.0 - config.learning_rate * config.weight_decay
+    decay = np.float32(1.0 - config.learning_rate * config.weight_decay)
     history: list[float] = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -314,5 +343,5 @@ def train(
             epoch_loss += loss
             n_batches += 1
         history.append(epoch_loss / n_batches)
-    return params, history
+    return params.astype(np.float64), history
 

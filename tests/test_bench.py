@@ -76,8 +76,8 @@ class TestBenchInference:
         def float_classifier(frame):
             return int(np.argmax(nn.forward(params, frame)[0]))
 
-        q_report = bench.bench_inference(classifier, frames[:300], warmup=50)
-        f_report = bench.bench_inference(float_classifier, float_frames, warmup=50)
+        q_report = bench.bench_inference(classifier, frames[:300], warmup=50, path="quantized")
+        f_report = bench.bench_inference(float_classifier, float_frames, warmup=50, path="float")
         assert q_report.mean_ns <= f_report.mean_ns * 1.5
 
 

@@ -1,6 +1,7 @@
 """Tests for the float network: forward math, backprop, Adam, training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,19 @@ class TestGradients:
         expected[2] -= 1.0
         assert np.allclose(grads.biases[-1], expected, atol=1e-15)
 
+    def test_gradients_keep_the_dtype_of_params_and_frames(self):
+        params, x, y = toy_net(seed=3)
+        params32 = params.astype(np.float32)
+        x32 = np.stack([x, -x]).astype(np.float32)
+        labels = np.array([y, 1 - y])
+        g32 = gradients(params32, x32, labels)
+        # the float64 oracle runs on the same, exactly widened, values
+        g64 = gradients(params32.astype(np.float64), x32.astype(np.float64), labels)
+        for a, b in zip(g32.weights + g32.biases, g64.weights + g64.biases):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            # float32 carries 24 bits: a few ulps of error on this tiny net
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-6)
+
 
 class TestAdamStep:
     def test_zero_gradient_keeps_parameters(self):
@@ -347,6 +361,26 @@ class TestTrain:
         assert history == []
         for a, b in zip(params.weights + params.biases, reference.weights + reference.biases):
             assert np.array_equal(a, b)
+
+    def test_returns_float64_holding_float32_values(self):
+        x, y = separable_toy()
+        params, _ = nn.train(x, y, TrainConfig(epochs=3, batch_size=8, seed=2), layer_dims=(4, 8, 2))
+        for p in params.weights + params.biases:
+            assert p.dtype == np.float64
+            assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
+
+    def test_peak_memory_stays_below_the_frames(self):
+        # float64 training would copy the frames at twice their float32 size
+        rng = np.random.default_rng(6)
+        frames = rng.standard_normal((2100, nn.ARCH[0]), dtype=np.float32)
+        labels = np.arange(2100) % nn.ARCH[-1]
+        tracemalloc.start()
+        try:
+            nn.train(frames, labels, TrainConfig(epochs=1, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes
 
     def test_missing_class_rejected(self):
         x, y = separable_toy()

@@ -1,5 +1,7 @@
 """Tests for fixed-point quantization and the integer inference path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,37 @@ class TestChooseFormats:
         params = nn.init_params((16, 8, 7), seed=0)
         with pytest.raises(ValueError):
             quant.choose_formats(params, np.empty((0, 16)))
+
+    def test_slices_give_the_unsliced_formats(self, monkeypatch):
+        params = nn.init_params((16, 8, 5, 7), seed=2)
+        rng = np.random.default_rng(3)
+        scales = rng.permutation(np.geomspace(0.01, 100.0, 50))
+        cal = (rng.standard_normal((50, 16)) * scales[:, None]).astype(np.float32)
+
+        def covering(values):
+            peak = np.percentile(np.abs(values), quant.CALIBRATION_PERCENTILE)
+            return quant.fmt_for_magnitude(float(peak)).frac_bits
+
+        # oracle: one unsliced float64 pass over every frame
+        unsliced = [covering(h) for h in nn.activations(params, cal.astype(np.float64))[1:-1]]
+        monkeypatch.setattr(quant, "LOGITS_SLICE", 7)  # 50 frames: 7 slices of 7, then 1
+        _, act_frac = quant.choose_formats(params, cal)
+        assert act_frac == [INPUT_FORMAT.frac_bits] + unsliced
+        # the frames are spread so that one slice alone calibrates differently
+        assert quant.choose_formats(params, cal[:7])[1] != act_frac
+
+    def test_peak_memory_stays_below_the_frames(self):
+        # an unsliced float64 pass peaks above twice the float32 frames
+        params = nn.init_params(nn.ARCH, seed=1)
+        rng = np.random.default_rng(4)
+        frames = rng.standard_normal((4 * quant.LOGITS_SLICE, nn.ARCH[0]), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            quant.choose_formats(params, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes
 
 
 class TestQuantizeNetwork:
