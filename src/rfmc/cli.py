@@ -5,6 +5,11 @@ eval / bench / classify / serve. Every command exits 0 on success, 1 on a
 runtime failure (missing/corrupt files and the like), and 2 on usage
 errors; a reader that closes stdout early is not a failure. All
 randomness hangs off --seed, so reruns are byte-identical.
+
+``classify --raw`` classifies frames as they are read, at most
+``model.LOGITS_SLICE`` per batch, and flushes each batch's lines, so a
+live stream on stdin gets its labels before it ends and memory stays
+bounded whatever the input's length.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -166,12 +170,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_labels(net, logits: np.ndarray) -> None:
-    """One line per frame: index, label id, label name; the float path adds
-    the 7 class probabilities."""
+def _print_labels(net, logits: np.ndarray, start: int = 0) -> None:
+    """One line per frame: index (counted from ``start``), label id, label
+    name; the float path adds the 7 class probabilities."""
     probs = nn.softmax(logits) if model.path(net) == "float" else None
     for i, label in enumerate(np.argmax(logits, axis=1).tolist()):
-        line = f"{i}\t{label}\t{label_name(label)}"
+        line = f"{start + i}\t{label}\t{label_name(label)}"
         if probs is not None:
             line += "\t" + " ".join(f"{p:.6f}" for p in probs[i])
         print(line)
@@ -185,19 +189,41 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _print_labels(net, model.logits(net, data.load_dataset(args.dataset).frames))
         return EXIT_OK
 
-    blob = sys.stdin.buffer.read() if args.raw == "-" else Path(args.raw).read_bytes()
-    n_complete = len(blob) // FRAME_BYTES
-    frame_len = FRAME_BYTES // 2
-    frames_q = np.frombuffer(blob, "<i2", n_complete * frame_len).reshape(n_complete, frame_len)
-    _print_labels(net, model.raw_logits(net, frames_q))
-    remainder = len(blob) - n_complete * FRAME_BYTES
+    if args.raw == "-":
+        n_frames, remainder = _classify_raw(net, sys.stdin.buffer)
+    else:
+        with open(args.raw, "rb") as source:
+            n_frames, remainder = _classify_raw(net, source)
     if remainder:
         print(
-            f"warning: truncated frame at byte offset {n_complete * FRAME_BYTES}: "
+            f"warning: truncated frame at byte offset {n_frames * FRAME_BYTES}: "
             f"{remainder} trailing bytes ignored",
             file=sys.stderr,
         )
     return EXIT_OK
+
+
+def _classify_raw(net, source) -> tuple[int, int]:
+    """Classify and print the raw frames of ``source`` as they arrive:
+    (frames classified, trailing bytes of a partial frame at the end).
+
+    Each ``read1`` asks for ``model.LOGITS_SLICE`` frames. A regular file
+    returns them all; a pipe returns what has arrived, so the batch follows
+    the arrival rate. A partial frame waits for the next read.
+    """
+    frame_len = FRAME_BYTES // 2
+    n_frames = 0
+    pending = b""
+    while chunk := source.read1(model.LOGITS_SLICE * FRAME_BYTES):
+        blob = pending + chunk
+        n_complete = len(blob) // FRAME_BYTES
+        if n_complete:
+            frames_q = np.frombuffer(blob, "<i2", n_complete * frame_len).reshape(-1, frame_len)
+            _print_labels(net, model.raw_logits(net, frames_q), start=n_frames)
+            sys.stdout.flush()
+            n_frames += n_complete
+        pending = blob[n_complete * FRAME_BYTES :]
+    return n_frames, len(pending)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -259,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="print one line per classified frame")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="dataset file input")
-    p.add_argument("--raw", help="raw int16 I/Q file, or '-' for stdin")
+    p.add_argument("--raw", help="raw int16 I/Q file, or '-' for stdin; frames are "
+                   "classified as they are read, at most LOGITS_SLICE per batch, and "
+                   "each batch's lines are flushed")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("serve", help="TCP stream classifier")

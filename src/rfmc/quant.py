@@ -31,10 +31,11 @@ INT32_MAX = (1 << 31) - 1
 CALIBRATION_PERCENTILE = 99.9
 
 # Frames per slice when a large batch runs through a network: calibration
-# here, and ``rfmc.model``'s ``logits`` and ``raw_logits``. Each slice's
-# float64 working copies (14.4 KB per frame each) stay bounded whatever the
-# batch size; on 14,000 frames 1024-frame slices ran as fast as any size
-# tried.
+# here, ``rfmc.model``'s ``logits`` and ``raw_logits``, and ``rfmc classify
+# --raw``, which reads, classifies and prints at most this many frames a
+# turn. Each slice's float64 working copies (14.4 KB per frame each) stay
+# bounded whatever the batch size; on 14,000 frames 1024-frame slices ran
+# as fast as any size tried.
 LOGITS_SLICE = 1024
 
 

@@ -1,13 +1,16 @@
 """Tests for the command-line interface and the TCP stream classifier."""
 
+import contextlib
 import hashlib
 import os
+import queue
 import socket
 import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +259,111 @@ class TestClassify:
             probs = [float(p) for p in probs_text.split()]
             assert len(probs) == 7
             assert sum(probs) == pytest.approx(1.0, abs=1e-5)
+
+    @staticmethod
+    def expected_lines(net, frames_q):
+        """The classify lines of ``frames_q`` from one ``model.raw_logits``
+        call over the whole array."""
+        logits = model.raw_logits(net, frames_q)
+        probs = nn.softmax(logits)
+        lines = []
+        for i, label in enumerate(np.argmax(logits, axis=1)):
+            line = f"{i}\t{label}\t{label_name(label)}"
+            if model.path(net) == "float":
+                line += "\t" + " ".join(f"{p:.6f}" for p in probs[i])
+            lines.append(line)
+        return lines
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_lines_across_slice_boundaries(self, workspace, tmp_path, capsys, monkeypatch,
+                                           kind):
+        monkeypatch.setattr(model, "LOGITS_SLICE", 3)  # 10 frames: 3 slices of 3, then 1
+        batches = []
+        raw_logits = model.raw_logits
+
+        def recording(net, frames_q):
+            batches.append(len(frames_q))
+            return raw_logits(net, frames_q)
+
+        raw = self.make_raw_file(tmp_path, 10, trailing=77)
+        net = fileio.load_model(workspace[kind])
+        frames_q = np.frombuffer(raw.read_bytes(), "<i2", 10 * 1800).reshape(10, 1800)
+        expected = self.expected_lines(net, frames_q)
+        monkeypatch.setattr(model, "raw_logits", recording)
+        code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace[kind]),
+                                    "--raw", str(raw))
+        assert code == 0
+        assert stdout.splitlines() == expected
+        assert err == (f"warning: truncated frame at byte offset {10 * FRAME_BYTES}: "
+                       f"77 trailing bytes ignored\n")
+        assert batches == [3, 3, 3, 1]
+
+    def test_peak_memory_does_not_grow_with_the_file(self, workspace, tmp_path, monkeypatch):
+        # The peak counted is what classify --raw allocates on top of the
+        # loaded model: the load itself peaks higher than 256 frames take.
+        monkeypatch.setattr(model, "LOGITS_SLICE", 8)
+        load_model = fileio.load_model
+        held_by_model = []
+
+        def load_then_reset_peak(path):
+            net = load_model(path)
+            held_by_model.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return net
+
+        monkeypatch.setattr(fileio, "load_model", load_then_reset_peak)
+        peaks = {}
+        for n_frames in (64, 256):
+            (tmp_path / str(n_frames)).mkdir()
+            raw = self.make_raw_file(tmp_path / str(n_frames), n_frames, trailing=77)
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull), \
+                    contextlib.redirect_stderr(devnull):
+                tracemalloc.start()
+                try:
+                    code = cli.main(["classify", "--model", str(workspace["qmodel"]),
+                                     "--raw", str(raw)])
+                    peaks[n_frames] = tracemalloc.get_traced_memory()[1] - held_by_model[-1]
+                finally:
+                    tracemalloc.stop()
+            assert code == 0
+        assert peaks[256] <= 1.25 * peaks[64], peaks
+
+    def test_stdin_labels_leave_before_stdin_closes(self, workspace):
+        frames = np.random.default_rng(78).integers(-8192, 8192, (5, 1800), dtype=np.int16)
+        blobs = [f.astype("<i2").tobytes() for f in frames]
+        half = FRAME_BYTES // 2
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        lines = queue.Queue()
+        with subprocess.Popen(
+            [sys.executable, "-m", "rfmc.cli", "classify", "--model", str(workspace["qmodel"]),
+             "--raw", "-"],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            reader = threading.Thread(target=lambda: list(map(lines.put, proc.stdout)),
+                                      daemon=True)
+            reader.start()
+            try:
+                proc.stdin.write(blobs[0] + blobs[1][:half])
+                proc.stdin.flush()
+                time.sleep(0.2)  # the second frame arrives in two halves
+                proc.stdin.write(blobs[1][half:] + blobs[2])
+                proc.stdin.flush()
+                # stdin is still open: the first three labels must arrive anyway.
+                early = [lines.get(timeout=60) for _ in range(3)]
+                proc.stdin.write(blobs[3] + blobs[4] + b"\x55" * 77)
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == cli.EXIT_OK
+                reader.join(timeout=60)
+                err = proc.stderr.read()
+            finally:
+                proc.kill()
+        late = [lines.get_nowait() for _ in range(lines.qsize())]
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        expected = self.expected_lines(qnet, frames)
+        assert [line.decode() for line in early + late] == [line + "\n" for line in expected]
+        assert err.decode() == (f"warning: truncated frame at byte offset {5 * FRAME_BYTES}: "
+                                f"77 trailing bytes ignored\n")
 
     def test_dataset_labels_match_eval_path(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
@@ -703,16 +811,23 @@ class TestExitCodes:
         assert err.startswith("error:") and "after the checksum trailer" in err
 
     @pytest.mark.parametrize("command, unbuffered", [
-        ("gen-data", ""), ("gen-data", "1"), ("train", "1"),
+        ("gen-data", ""), ("gen-data", "1"), ("train", "1"), ("classify", ""), ("classify", "1"),
     ])
     def test_closed_stdout_exits_0_quietly(self, workspace, tmp_path, command, unbuffered):
         # Unbuffered, the first print meets the closed pipe; buffered, the
-        # flush at the end does.
+        # flush at the end does (classify --raw: the flush after its first batch).
         out = tmp_path / "out.bin"
+        raw = tmp_path / "frames.bin"
+        if command == "classify":  # three batches: the pipe is closed mid-stream
+            n_frames = 2 * quant.LOGITS_SLICE + 52
+            raw.write_bytes(np.random.default_rng(79).integers(
+                -8192, 8192, n_frames * 1800, dtype=np.int16).astype("<i2").tobytes())
         argv = {
-            "gen-data": ["gen-data", "--frames-per-class", "5"],
-            "train": ["train", "--dataset", str(workspace["ds"]), "--epochs", "1"],
-        }[command] + ["--out", str(out)]
+            "gen-data": ["gen-data", "--frames-per-class", "5", "--out", str(out)],
+            "train": ["train", "--dataset", str(workspace["ds"]), "--epochs", "1",
+                      "--out", str(out)],
+            "classify": ["classify", "--model", str(workspace["qmodel"]), "--raw", str(raw)],
+        }[command]
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen([sys.executable, "-m", "rfmc.cli", *argv], env=env,
@@ -723,7 +838,7 @@ class TestExitCodes:
         assert err == b""
         if command == "gen-data":
             assert len(data.load_dataset(out)) == 35
-        else:
+        elif command == "train":
             assert fileio.load_float_model(out).n_layers == 3
 
     def test_unknown_subcommand_exits_2(self):
