@@ -46,7 +46,9 @@ def apply_awgn_batch(
     for row, rng in zip(noise, rngs):
         rng.standard_normal(out=row)
     noise *= sigma.reshape((-1,) + (1,) * (frames.ndim - 1))
-    return frames + noise
+    # in place: noise + frames has the same bits as frames + noise
+    noise += frames
+    return noise
 
 
 def apply_awgn(frame: np.ndarray, snr_db: float | None, seed: int = 0) -> np.ndarray:

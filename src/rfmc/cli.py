@@ -172,13 +172,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _print_labels(net, logits: np.ndarray, start: int = 0) -> None:
     """One line per frame: index (counted from ``start``), label id, label
-    name; the float path adds the 7 class probabilities."""
-    probs = nn.softmax(logits) if model.path(net) == "float" else None
-    for i, label in enumerate(np.argmax(logits, axis=1).tolist()):
-        line = f"{start + i}\t{label}\t{label_name(label)}"
-        if probs is not None:
-            line += "\t" + " ".join(f"{p:.6f}" for p in probs[i])
-        print(line)
+    name; the float path adds the 7 class probabilities. The batch's lines
+    go out in one write; an empty batch prints nothing."""
+    if not len(logits):
+        return
+    lines = [
+        f"{start + i}\t{label}\t{label_name(label)}"
+        for i, label in enumerate(np.argmax(logits, axis=1).tolist())
+    ]
+    if model.path(net) == "float":
+        lines = [
+            line + "\t" + " ".join(f"{p:.6f}" for p in row)
+            for line, row in zip(lines, nn.softmax(logits).tolist())
+        ]
+    print("\n".join(lines))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

@@ -20,12 +20,14 @@ file.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, sigsynth
-from .fileio import FileFormatError, check_trailer, read_exact, write_body
+from .fileio import FileFormatError, check_remaining, check_trailer, read_exact, write_body
+from .quant import LOGITS_SLICE
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
@@ -145,7 +147,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Inverse of save_dataset."""
+    """Inverse of save_dataset.
+
+    The records are read ``LOGITS_SLICE`` at a time and copied into arrays
+    allocated once, under a running CRC32, so the load never holds the
+    whole body as well as the frames: it peaks near the frames' own size.
+    """
     with open(path, "rb") as f:
         magic = read_exact(f, 4, "magic")
         if magic != DATASET_MAGIC:
@@ -155,13 +162,23 @@ def load_dataset(path: str) -> Dataset:
             raise FileFormatError(f"unsupported dataset version {version}")
         if frame_len != FRAME_LEN:
             raise FileFormatError(f"unexpected frame length {frame_len}")
-        body = read_exact(f, count * _RECORD_DTYPE.itemsize, "records")
-        check_trailer(f, body, "dataset")
+        check_remaining(f, count * _RECORD_DTYPE.itemsize, "records")
+        frames = np.empty((count, FRAME_LEN), dtype=np.float32)
+        labels = np.empty(count, dtype=np.uint8)
+        snr_db = np.empty(count, dtype=np.float32)
+        crc = 0
+        for start in range(0, count, LOGITS_SLICE):
+            chunk = read_exact(f, min(LOGITS_SLICE, count - start) * _RECORD_DTYPE.itemsize,
+                               "records")
+            crc = zlib.crc32(chunk, crc)
+            records = np.frombuffer(chunk, dtype=_RECORD_DTYPE)
+            rows = slice(start, start + len(records))
+            frames[rows] = records["frame"]
+            labels[rows] = records["label"]
+            snr_db[rows] = records["snr_db"]
+            snr_db[rows][records["snr_flag"] != 0] = np.nan
+        check_trailer(f, crc, "dataset")
 
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=count)
-    # astype copies, into arrays that own writable memory
-    snr = records["snr_db"].astype(np.float32)
-    snr[records["snr_flag"] != 0] = np.nan
-    ds = Dataset(records["frame"].astype(np.float32), records["label"].astype(np.uint8), snr)
+    ds = Dataset(frames, labels, snr_db)
     ds.validate()
     return ds

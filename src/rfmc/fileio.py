@@ -53,6 +53,17 @@ class TruncatedFileError(FileFormatError):
     """File holds fewer bytes than its header claims."""
 
 
+def check_remaining(f: BinaryIO, n: int, what: str) -> None:
+    """Raise ``TruncatedFileError`` unless at least ``n`` bytes are left in
+    the file (``os.fstat``), so a claimed size is checked before anything of
+    that size is allocated or read."""
+    remaining = os.fstat(f.fileno()).st_size - f.tell()
+    if n > remaining:
+        raise TruncatedFileError(
+            f"truncated file: expected {n} bytes for {what}, {max(remaining, 0)} left"
+        )
+
+
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     """Read exactly ``n`` bytes of a file.
 
@@ -60,11 +71,7 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     before anything is read, so a header claiming a huge size is rejected
     without allocating it.
     """
-    remaining = os.fstat(f.fileno()).st_size - f.tell()
-    if n > remaining:
-        raise TruncatedFileError(
-            f"truncated file: expected {n} bytes for {what}, {max(remaining, 0)} left"
-        )
+    check_remaining(f, n, what)
     data = f.read(n)
     if len(data) != n:
         raise TruncatedFileError(f"truncated file: expected {n} bytes for {what}, got {len(data)}")
@@ -107,14 +114,15 @@ def write_body(f: BinaryIO, body: bytes) -> None:
     f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
-def check_trailer(f: BinaryIO, body: bytes, what: str) -> None:
+def check_trailer(f: BinaryIO, crc: int, what: str) -> None:
     """Read the CRC32 trailer, which must end the file, and check it against
-    ``body``; ``what`` names the body in a mismatch."""
+    ``crc``, the ``zlib.crc32`` of the body; ``what`` names the body in a
+    mismatch."""
     (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
     extra = os.fstat(f.fileno()).st_size - f.tell()
     if extra:
         raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
-    actual = zlib.crc32(body) & 0xFFFFFFFF
+    actual = crc & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {actual:#x}")
 
@@ -160,7 +168,7 @@ def load_model(path: str) -> Union[NetworkParams, QuantizedNetwork]:
         kind, dims = _read_header(f)
         size = _float_body_size(dims) if kind == KIND_FLOAT else _quant_body_size(dims)
         body = read_exact(f, size, "model body")
-        check_trailer(f, body, "model body")
+        check_trailer(f, zlib.crc32(body), "model body")
     if kind == KIND_FLOAT:
         return _parse_float_body(body, dims)
     return _parse_quant_body(body, dims)

@@ -53,10 +53,12 @@ def round_shift(values: np.ndarray, shift: int) -> np.ndarray:
 def accumulator_bound(weights: np.ndarray, bias_acc: np.ndarray) -> int:
     """Upper bound on |accumulator| over every int16 input to this layer.
 
-    ``max_j(sum_k |W_jk| * 32768 + |b_j|)``, computed in int64 (which
-    cannot overflow for any layer that fits in memory).
+    ``max_j(sum_k |W_jk| * 32768 + |b_j|)`` for int16 ``weights``. The
+    magnitudes are taken in int32, which holds every |int16| (32768
+    included), and summed in int64, which cannot overflow for any layer
+    that fits in memory; no int64 copy of the weights is made.
     """
-    row_sums = np.abs(np.asarray(weights, dtype=np.int64)).sum(axis=1)
+    row_sums = np.abs(weights, dtype=np.int32).sum(axis=1, dtype=np.int64)
     bounds = row_sums * -INT16_MIN + np.abs(np.asarray(bias_acc, dtype=np.int64))
     return int(bounds.max(initial=0))
 

@@ -31,12 +31,18 @@ INT32_MAX = (1 << 31) - 1
 CALIBRATION_PERCENTILE = 99.9
 
 # Frames per slice when a large batch runs through a network: calibration
-# here, ``rfmc.model``'s ``logits`` and ``raw_logits``, and ``rfmc classify
+# here, ``rfmc.model``'s ``logits`` and ``raw_logits``, ``rfmc classify
 # --raw``, which reads, classifies and prints at most this many frames a
-# turn. Each slice's float64 working copies (14.4 KB per frame each) stay
-# bounded whatever the batch size; on 14,000 frames 1024-frame slices ran
-# as fast as any size tried.
-LOGITS_SLICE = 1024
+# turn, and ``rfmc.data.load_dataset``, which reads this many records a
+# turn. A slice's float64 working copy takes 14.4 KB per frame: 3.7 MB at
+# 256 frames against 14.7 MB at 1024, so far less memory is touched. On the
+# benchmark's offline workload (2 vCPUs, OpenBLAS 0.3.31; 10 alternating
+# pairs at 45 s, seeds 1401-1410) 256 against 1024 moved p50_ms from 15.1
+# to 10.3 ms and p99_ms from 20.1 to 16.1 ms, better in 10 and 9 pairs of
+# 10. 128 was not taken: on 14,000 frames it changed the float path's
+# logits in the last bits (up to 8.9e-15) on 48 frames, while 256 and 512
+# give the bits of 1024. Labels were equal at every size.
+LOGITS_SLICE = 256
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,15 @@ class TestClassify:
         for line, row in zip(stdout.splitlines(), expected):
             assert line.split("\t")[3] == " ".join(f"{p:.6f}" for p in row)
 
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_empty_dataset_prints_nothing(self, workspace, tmp_path, capsys, kind):
+        empty = tmp_path / "empty.rfds"
+        data.save_dataset(data.Dataset(np.empty((0, 1800), np.float32),
+                                       np.empty(0, np.uint8), np.empty(0, np.float32)), empty)
+        code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace[kind]),
+                                    "--dataset", str(empty))
+        assert (code, stdout, err) == (0, "", "")
+
     def test_both_inputs_rejected(self, workspace, tmp_path, capsys):
         raw = self.make_raw_file(tmp_path, 1)
         code, _, err = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),

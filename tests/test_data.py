@@ -1,6 +1,7 @@
 """Tests for dataset construction, splitting, and the RFDS file format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestFileRoundTrip:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedFileError):
             data.load_dataset(path)
+
+    def test_load_peaks_near_the_frames_size(self, tmp_path):
+        # 2,100 records: eight full LOGITS_SLICE reads and a partial one
+        n = 2100
+        rng = np.random.default_rng(5)
+        snr_db = rng.choice([np.nan, 0.0, 6.0], n).astype(np.float32)
+        ds = data.Dataset(rng.standard_normal((n, FRAME_LEN), dtype=np.float32),
+                          rng.integers(0, 7, n).astype(np.uint8), snr_db)
+        path = tmp_path / "big.rfds"
+        data.save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = data.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert datasets_equal(ds, loaded)
+        assert peak <= 1.5 * loaded.frames.nbytes, peak / loaded.frames.nbytes
 
     def test_header_claiming_more_records_than_the_file_holds(self, tmp_path):
         path = tmp_path / "hostile.rfds"
