@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rfmc import fileio, quant
+from rfmc import fileio, nn, quant
 from rfmc.fileio import FileFormatError
 
 
@@ -56,3 +56,99 @@ def test_dims_that_do_not_chain_rejected_before_the_body(tmp_path):
     path.write_bytes(model_header([(100, 1800), (7, 20)]))
     with pytest.raises(FileFormatError, match="chain"):
         fileio.load_model(path)
+
+
+def tiny_float_params():
+    return nn.NetworkParams(
+        [np.array([[0.5, -1.25, 2.0], [3.0, 0.0, -0.75]]), np.array([[1.5, -2.5]])],
+        [np.array([0.125, -4.0]), np.array([6.5])],
+    )
+
+
+def tiny_qnet():
+    return quant.QuantizedNetwork(
+        [np.array([[3, -1, 7], [-32768, 5, 32767]], np.int16), np.array([[1, -9]], np.int16)],
+        [np.array([10, -4], np.int64), np.array([-(2**31)], np.int64)],
+        weight_frac=[14, 12],
+        act_frac=[13, 11],
+    )
+
+
+def file_of(kind, dims, body):
+    return model_header(dims, kind) + body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestByteOracle:
+    """Saved models equal the layout of the module docstring, byte for byte."""
+
+    def test_float_model(self, tmp_path):
+        params = tiny_float_params()
+        body = b"".join(
+            struct.pack(f"<{w.size}d", *w.ravel()) + struct.pack(f"<{b.size}d", *b)
+            for w, b in zip(params.weights, params.biases)
+        )
+        path = tmp_path / "f.rfmc"
+        fileio.save_float_model(path, params)
+        assert path.read_bytes() == file_of(fileio.KIND_FLOAT, [(2, 3), (1, 2)], body)
+
+    def test_quantized_model(self, tmp_path):
+        qnet = tiny_qnet()
+        body = b"".join(
+            struct.pack("<BBB", wf, af, wf + af)
+            + struct.pack(f"<{w.size}h", *w.ravel())
+            + struct.pack(f"<{b.size}i", *b)
+            for w, b, wf, af in zip(qnet.weights, qnet.biases, qnet.weight_frac, qnet.act_frac)
+        )
+        path = tmp_path / "q.rfmc"
+        fileio.save_quantized_model(path, qnet)
+        assert path.read_bytes() == file_of(fileio.KIND_QUANTIZED, [(2, 3), (1, 2)], body)
+
+
+class TestReaderChecks:
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {"float": tmp_path / "f.rfmc", "quantized": tmp_path / "q.rfmc"}
+        fileio.save_float_model(paths["float"], tiny_float_params())
+        fileio.save_quantized_model(paths["quantized"], tiny_qnet())
+        return paths
+
+    def test_round_trip_keeps_values_and_dtypes(self, files):
+        params = fileio.load_float_model(files["float"])
+        for got, want in zip(params.weights + params.biases,
+                             tiny_float_params().weights + tiny_float_params().biases):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        qnet = fileio.load_quantized_model(files["quantized"])
+        want = tiny_qnet()
+        assert [w.dtype for w in qnet.weights] == [np.int16, np.int16]
+        assert [b.dtype for b in qnet.biases] == [np.int64, np.int64]
+        assert all(np.array_equal(a, b) for a, b in zip(qnet.weights, want.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(qnet.biases, want.biases))
+        assert (qnet.weight_frac, qnet.act_frac) == (want.weight_frac, want.act_frac)
+
+    def test_float_loader_rejects_a_quantized_file(self, files):
+        with pytest.raises(FileFormatError, match="holds a quantized model, expected float"):
+            fileio.load_float_model(files["quantized"])
+
+    def test_quantized_loader_rejects_a_float_file(self, files):
+        with pytest.raises(FileFormatError, match="holds a float model, expected quantized"):
+            fileio.load_quantized_model(files["float"])
+
+    def test_inconsistent_bias_shift_under_a_valid_crc(self, files):
+        blob = files["quantized"].read_bytes()
+        body = bytearray(blob[24:-4])
+        body[2] += 1
+        files["quantized"].write_bytes(blob[:24] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FileFormatError, match="inconsistent bias shift 28 for formats w=14, a=13"):
+            fileio.load_model(files["quantized"])
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (0, b"RFMD", "bad magic"),
+        (4, struct.pack("<H", fileio.MODEL_VERSION + 1), "unsupported model version 2"),
+        (6, b"\x02", "unknown model kind 2"),
+        (7, b"\x00", "model has no layers"),
+    ])
+    def test_bad_header_field(self, files, offset, value, message):
+        blob = files["float"].read_bytes()
+        files["float"].write_bytes(blob[:offset] + value + blob[offset + len(value):])
+        with pytest.raises(FileFormatError, match=message):
+            fileio.load_model(files["float"])
