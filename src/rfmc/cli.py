@@ -120,13 +120,6 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(args.dataset)
-    if args.self_test:
-        report = evaluation.evaluate(evaluation.oracle_classifier(dataset), dataset)
-        print(evaluation.format_report(report))
-        return EXIT_OK
-
-    if args.model is None:
-        raise UsageError("--model is required unless --self-test")
     net = fileio.load_model(args.model)
 
     if args.compare is not None:
@@ -275,12 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="confusion matrix and accuracy report")
-    p.add_argument("--model")
+    p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--compare", metavar="QUANT_MODEL",
                    help="also evaluate this quantized model and print the gap")
-    p.add_argument("--self-test", action="store_true",
-                   help="evaluate the ground-truth oracle (sanity check)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="latency/throughput of an inference path")

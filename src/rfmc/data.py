@@ -73,7 +73,10 @@ class Dataset:
             raise ValueError("frames/labels/snr_db shapes disagree")
         if n and (self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES):
             raise ValueError("labels must be in 0..6")
-        if not np.all(np.isfinite(self.frames)):
+        # min and max propagate NaN, so no (n, 1800) mask is needed;
+        # ``initial`` covers a dataset with no records.
+        lo, hi = self.frames.min(initial=0.0), self.frames.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("frames must be finite")
 
 

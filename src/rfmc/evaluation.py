@@ -62,16 +62,6 @@ def evaluate(classifier: Callable[[np.ndarray], np.ndarray], dataset: Dataset) -
     return EvalReport(confusion, overall, per_class_error, by_snr)
 
 
-def oracle_classifier(dataset: Dataset) -> Callable[[np.ndarray], np.ndarray]:
-    """Returns ground truth by frame identity; evaluation self-test hook."""
-    index = {dataset.frames[i].tobytes(): int(dataset.labels[i]) for i in range(len(dataset))}
-
-    def classify(frames: np.ndarray) -> np.ndarray:
-        return np.array([index[f.tobytes()] for f in np.asarray(frames, dtype=np.float32)])
-
-    return classify
-
-
 def compare_reports(a: EvalReport, b: EvalReport) -> ReportDelta:
     """Accuracy gap (b minus a) and per-class error deltas over the same data."""
     if int(a.confusion.sum()) != int(b.confusion.sum()):

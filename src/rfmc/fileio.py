@@ -4,10 +4,12 @@ Layout (all little-endian):
 
   header:  magic "RFMC" | version u16 | kind u8 (0=float, 1=quantized)
            | layer count u8 | per layer: out_dim u32, in_dim u32
-  float body:      per layer: weights f64 row-major, then biases f64
-  quantized body:  per layer: weight frac_bits u8, activation frac_bits u8,
-                   bias shift u8 (= weight_frac + act_frac), weights int16
-                   row-major, biases int32 (pre-aligned at the bias shift)
+  body:    per layer: format bytes, weights row-major, then biases, as
+           ``BODY_LAYOUTS`` gives them for the kind:
+             float:      no format bytes, weights f64, biases f64
+             quantized:  weight frac_bits u8, activation frac_bits u8,
+                         bias shift u8 (= weight_frac + act_frac), weights
+                         int16, biases int32 (pre-aligned at the bias shift)
   trailer: CRC32 of the body, u32, which ends the file
 
 Corruption, truncation, and unknown formats raise distinct exceptions so
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import BinaryIO, Union
+from typing import BinaryIO, NamedTuple, Union
 
 import numpy as np
 
@@ -35,6 +37,20 @@ MODEL_MAGIC = b"RFMC"
 MODEL_VERSION = 1
 KIND_FLOAT = 0
 KIND_QUANTIZED = 1
+
+
+class BodyLayout(NamedTuple):
+    format_bytes: int  # per layer, before the weights: 0 float, 3 quantized
+    weight: np.dtype
+    bias: np.dtype
+
+
+# Each kind's body layout (see above): ``_save_model`` writes and
+# ``load_model`` reads both kinds from this one table.
+BODY_LAYOUTS = {
+    KIND_FLOAT: BodyLayout(0, np.dtype("<f8"), np.dtype("<f8")),
+    KIND_QUANTIZED: BodyLayout(3, np.dtype("<i2"), np.dtype("<i4")),
+}
 
 
 class ContainerError(Exception):
@@ -65,12 +81,7 @@ def check_remaining(f: BinaryIO, n: int, what: str) -> None:
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a file.
-
-    ``n`` is checked against the bytes left in the file (``os.fstat``)
-    before anything is read, so a header claiming a huge size is rejected
-    without allocating it.
-    """
+    """Read exactly ``n`` bytes of a file, after ``check_remaining``."""
     check_remaining(f, n, what)
     data = f.read(n)
     if len(data) != n:
@@ -92,7 +103,7 @@ def _read_header(f: BinaryIO) -> tuple[int, list[tuple[int, int]]]:
     version, kind, n_layers = struct.unpack("<HBB", read_exact(f, 4, "header"))
     if version != MODEL_VERSION:
         raise FileFormatError(f"unsupported model version {version}")
-    if kind not in (KIND_FLOAT, KIND_QUANTIZED):
+    if kind not in BODY_LAYOUTS:
         raise FileFormatError(f"unknown model kind {kind}")
     if n_layers == 0:
         raise FileFormatError("model has no layers")
@@ -127,51 +138,68 @@ def check_trailer(f: BinaryIO, crc: int, what: str) -> None:
         raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {actual:#x}")
 
 
-def save_float_model(path: str, params: NetworkParams) -> None:
-    params.validate()
+def _save_model(path: str, kind: int, weights, biases, formats) -> None:
+    """Write a model of ``kind``; ``formats`` holds each layer's format bytes."""
+    layout = BODY_LAYOUTS[kind]
     chunks = []
-    for w, b in zip(params.weights, params.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    for w, b, fmt in zip(weights, biases, formats):
+        chunks.append(bytes(fmt))
+        chunks.append(np.ascontiguousarray(w, dtype=layout.weight).tobytes())
+        chunks.append(np.ascontiguousarray(b, dtype=layout.bias).tobytes())
     body = b"".join(chunks)
     with open(path, "wb") as f:
-        _write_header(f, KIND_FLOAT, [w.shape for w in params.weights])
+        _write_header(f, kind, [w.shape for w in weights])
         write_body(f, body)
+
+
+def save_float_model(path: str, params: NetworkParams) -> None:
+    params.validate()
+    _save_model(path, KIND_FLOAT, params.weights, params.biases, [()] * params.n_layers)
 
 
 def save_quantized_model(path: str, qnet: QuantizedNetwork) -> None:
     qnet.validate()
-    chunks = []
-    for i, (w, b) in enumerate(zip(qnet.weights, qnet.biases)):
-        chunks.append(
-            struct.pack("<BBB", qnet.weight_frac[i], qnet.act_frac[i], qnet.acc_frac(i))
-        )
-        chunks.append(np.ascontiguousarray(w, dtype="<i2").tobytes())
-        chunks.append(b.astype("<i4").tobytes())
-    body = b"".join(chunks)
-    with open(path, "wb") as f:
-        _write_header(f, KIND_QUANTIZED, [w.shape for w in qnet.weights])
-        write_body(f, body)
-
-
-def _float_body_size(dims: list[tuple[int, int]]) -> int:
-    return sum(8 * (o * i + o) for o, i in dims)
-
-
-def _quant_body_size(dims: list[tuple[int, int]]) -> int:
-    return sum(3 + 2 * o * i + 4 * o for o, i in dims)
+    formats = [(qnet.weight_frac[i], qnet.act_frac[i], qnet.acc_frac(i))
+               for i in range(qnet.n_layers)]
+    _save_model(path, KIND_QUANTIZED, qnet.weights, qnet.biases, formats)
 
 
 def load_model(path: str) -> Union[NetworkParams, QuantizedNetwork]:
     """Load either model kind, dispatching on the header."""
     with open(path, "rb") as f:
         kind, dims = _read_header(f)
-        size = _float_body_size(dims) if kind == KIND_FLOAT else _quant_body_size(dims)
+        layout = BODY_LAYOUTS[kind]
+        size = sum(
+            layout.format_bytes + layout.weight.itemsize * o * i + layout.bias.itemsize * o
+            for o, i in dims
+        )
         body = read_exact(f, size, "model body")
         check_trailer(f, zlib.crc32(body), "model body")
+    weights, biases, formats = [], [], []
+    offset = 0
+    for out_dim, in_dim in dims:
+        formats.append(tuple(body[offset : offset + layout.format_bytes]))
+        offset += layout.format_bytes
+        # Views into the body: int16 weights are used as read, without a copy.
+        n = out_dim * in_dim
+        weights.append(np.frombuffer(body, layout.weight, n, offset).reshape(out_dim, in_dim))
+        offset += weights[-1].nbytes
+        biases.append(np.frombuffer(body, layout.bias, out_dim, offset))
+        offset += biases[-1].nbytes
     if kind == KIND_FLOAT:
-        return _parse_float_body(body, dims)
-    return _parse_quant_body(body, dims)
+        params = NetworkParams([w.astype(np.float64) for w in weights],
+                               [b.astype(np.float64) for b in biases])
+        params.validate()
+        return params
+    for wf, af, shift in formats:
+        if shift != wf + af:
+            raise FileFormatError(f"inconsistent bias shift {shift} for formats w={wf}, a={af}")
+    return QuantizedNetwork(
+        weights,
+        [b.astype(np.int64) for b in biases],
+        weight_frac=[wf for wf, _, _ in formats],
+        act_frac=[af for _, af, _ in formats],
+    )
 
 
 def load_float_model(path: str) -> NetworkParams:
@@ -186,43 +214,3 @@ def load_quantized_model(path: str) -> QuantizedNetwork:
     if not isinstance(model, QuantizedNetwork):
         raise FileFormatError(f"{path} holds a float model, expected quantized")
     return model
-
-
-def _parse_float_body(body: bytes, dims: list[tuple[int, int]]) -> NetworkParams:
-    weights, biases = [], []
-    offset = 0
-    for out_dim, in_dim in dims:
-        n = out_dim * in_dim
-        weights.append(
-            np.frombuffer(body, "<f8", n, offset).reshape(out_dim, in_dim).astype(np.float64)
-        )
-        offset += 8 * n
-        biases.append(np.frombuffer(body, "<f8", out_dim, offset).astype(np.float64))
-        offset += 8 * out_dim
-    params = NetworkParams(weights, biases)
-    params.validate()
-    return params
-
-
-def _parse_quant_body(body: bytes, dims: list[tuple[int, int]]) -> QuantizedNetwork:
-    weights, biases, weight_frac, act_frac = [], [], [], []
-    offset = 0
-    for out_dim, in_dim in dims:
-        wf, af, shift = struct.unpack_from("<BBB", body, offset)
-        offset += 3
-        if shift != wf + af:
-            raise FileFormatError(
-                f"inconsistent bias shift {shift} for formats w={wf}, a={af}"
-            )
-        weight_frac.append(wf)
-        act_frac.append(af)
-        n = out_dim * in_dim
-        weights.append(
-            np.ascontiguousarray(
-                np.frombuffer(body, "<i2", n, offset).reshape(out_dim, in_dim)
-            )
-        )
-        offset += 2 * n
-        biases.append(np.frombuffer(body, "<i4", out_dim, offset).astype(np.int64))
-        offset += 4 * out_dim
-    return QuantizedNetwork(weights, biases, weight_frac, act_frac)

@@ -100,10 +100,10 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    # First and second moments, one array per parameter array in
+    # ``params.weights + params.biases`` order.
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step_count: int = 0
     # Two work buffers per parameter array for adam_update.
     _buffers: list[tuple[np.ndarray, np.ndarray]] = field(
@@ -112,27 +112,16 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        arrays = params.weights + params.biases
+        return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            [m.copy() for m in self.m_weights],
-            [m.copy() for m in self.m_biases],
-            [v.copy() for v in self.v_weights],
-            [v.copy() for v in self.v_biases],
-            self.step_count,
-        )
+        return AdamState([m.copy() for m in self.m], [v.copy() for v in self.v], self.step_count)
 
     def buffers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Work buffers shaped like the moments, weights first, then biases."""
+        """Work buffers shaped like the moments."""
         if not self._buffers:
-            self._buffers = [(np.empty_like(m), np.empty_like(m))
-                             for m in self.m_weights + self.m_biases]
+            self._buffers = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
         return self._buffers
 
 
@@ -234,11 +223,10 @@ def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, confi
 
     Allocates nothing per step: the work buffers live in ``state``.
     """
-    for gw, w in zip(grads.weights, params.weights):
-        if gw.shape != w.shape:
-            raise ValueError("gradient shape mismatch")
-    for gb, b in zip(grads.biases, params.biases):
-        if gb.shape != b.shape:
+    arrays = params.weights + params.biases
+    grad_arrays = grads.weights + grads.biases
+    for g, p in zip(grad_arrays, arrays):
+        if g.shape != p.shape:
             raise ValueError("gradient shape mismatch")
 
     state.step_count += 1
@@ -247,13 +235,7 @@ def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, confi
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
 
-    for p, g, m, v, (step, denom) in zip(
-        params.weights + params.biases,
-        grads.weights + grads.biases,
-        state.m_weights + state.m_biases,
-        state.v_weights + state.v_biases,
-        state.buffers(),
-    ):
+    for p, g, m, v, (step, denom) in zip(arrays, grad_arrays, state.m, state.v, state.buffers()):
         # One operation at a time, in the order of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
         #   p = p - lr*(m/c1) / (sqrt(v/c2) + eps)

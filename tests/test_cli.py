@@ -151,11 +151,10 @@ class TestQuantize:
 
 
 class TestEval:
-    def test_self_test_oracle(self, workspace, capsys):
-        code, stdout, _ = run_cli(capsys, "eval", "--dataset", str(workspace["ds"]),
-                                  "--self-test")
-        assert code == 0
-        assert "overall_accuracy 1.000000" in stdout
+    def test_missing_model_exits_2(self, workspace):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--dataset", str(workspace["ds"])])
+        assert exc.value.code == 2
 
     def test_compare_prints_signed_gap(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "eval", "--model", str(workspace["model"]),
@@ -778,10 +777,11 @@ class TestExitCodes:
         assert code == 1
         assert "CRC" in err or "error" in err
 
-    def test_hostile_dataset_header_exits_1(self, tmp_path, capsys):
+    def test_hostile_dataset_header_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "hostile.rfds"
         bad.write_bytes(b"RFDS" + struct.pack("<HIH", 1, 2**32 - 1, 1800))
-        code, _, err = run_cli(capsys, "eval", "--self-test", "--dataset", str(bad))
+        code, _, err = run_cli(capsys, "eval", "--model", str(workspace["qmodel"]),
+                               "--dataset", str(bad))
         assert code == 1
         assert err.startswith("error:")
 

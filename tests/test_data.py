@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -128,6 +129,41 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 data.split(tiny_dataset, bad, seed=0)
+
+
+class TestFiniteFrames:
+    """Frames holding NaN or an infinity are refused on the way in and out."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects(self, tiny_dataset, tmp_path, value):
+        frames = tiny_dataset.frames.copy()
+        frames[3, 17] = value
+        bad = data.Dataset(frames, tiny_dataset.labels, tiny_dataset.snr_db)
+        with pytest.raises(ValueError, match="frames must be finite"):
+            data.save_dataset(bad, tmp_path / "bad.rfds")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_under_a_valid_crc(self, tiny_dataset, tmp_path, value):
+        path = tmp_path / "bad.rfds"
+        data.save_dataset(tiny_dataset, path)
+        blob = path.read_bytes()
+        body = bytearray(blob[12:-4])
+        np.frombuffer(body, data._RECORD_DTYPE)["frame"][3, 17] = value
+        path.write_bytes(blob[:12] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ValueError, match="frames must be finite"):
+            data.load_dataset(path)
+
+    def test_validate_allocates_no_frame_sized_mask(self):
+        n = 2100
+        frames = np.random.default_rng(6).standard_normal((n, FRAME_LEN), dtype=np.float32)
+        ds = data.Dataset(frames, np.zeros(n, np.uint8), np.zeros(n, np.float32))
+        tracemalloc.start()
+        try:
+            ds.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * frames.nbytes, peak / frames.nbytes
 
 
 class TestFileRoundTrip:
