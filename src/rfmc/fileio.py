@@ -81,7 +81,12 @@ def check_remaining(f: BinaryIO, n: int, what: str) -> None:
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a file, after ``check_remaining``."""
+    """Read exactly ``n`` bytes of a file.
+
+    ``n`` is checked against the bytes left in the file (``os.fstat``)
+    before anything is read, so a header claiming a huge size is rejected
+    without allocating it.
+    """
     check_remaining(f, n, what)
     data = f.read(n)
     if len(data) != n:
@@ -138,30 +143,31 @@ def check_trailer(f: BinaryIO, crc: int, what: str) -> None:
         raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {actual:#x}")
 
 
-def _save_model(path: str, kind: int, weights, biases, formats) -> None:
-    """Write a model of ``kind``; ``formats`` holds each layer's format bytes."""
+def _save_model(path: str, net: Union[NetworkParams, QuantizedNetwork], kind: int,
+                formats: list[tuple[int, ...]]) -> None:
+    """Write ``net`` as a model of ``kind``, with each layer's ``formats`` bytes."""
     layout = BODY_LAYOUTS[kind]
     chunks = []
-    for w, b, fmt in zip(weights, biases, formats):
+    for w, b, fmt in zip(net.weights, net.biases, formats):
         chunks.append(bytes(fmt))
         chunks.append(np.ascontiguousarray(w, dtype=layout.weight).tobytes())
         chunks.append(np.ascontiguousarray(b, dtype=layout.bias).tobytes())
     body = b"".join(chunks)
     with open(path, "wb") as f:
-        _write_header(f, kind, [w.shape for w in weights])
+        _write_header(f, kind, [w.shape for w in net.weights])
         write_body(f, body)
 
 
 def save_float_model(path: str, params: NetworkParams) -> None:
     params.validate()
-    _save_model(path, KIND_FLOAT, params.weights, params.biases, [()] * params.n_layers)
+    _save_model(path, params, KIND_FLOAT, [()] * params.n_layers)
 
 
 def save_quantized_model(path: str, qnet: QuantizedNetwork) -> None:
     qnet.validate()
     formats = [(qnet.weight_frac[i], qnet.act_frac[i], qnet.acc_frac(i))
                for i in range(qnet.n_layers)]
-    _save_model(path, KIND_QUANTIZED, qnet.weights, qnet.biases, formats)
+    _save_model(path, qnet, KIND_QUANTIZED, formats)
 
 
 def load_model(path: str) -> Union[NetworkParams, QuantizedNetwork]:
