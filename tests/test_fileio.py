@@ -113,10 +113,9 @@ class TestReaderChecks:
         return paths
 
     def test_round_trip_keeps_values_and_dtypes(self, files):
-        params = fileio.load_float_model(files["float"])
-        for got, want in zip(params.weights + params.biases,
-                             tiny_float_params().weights + tiny_float_params().biases):
-            assert got.dtype == np.float64 and np.array_equal(got, want)
+        params, want = fileio.load_float_model(files["float"]), tiny_float_params()
+        for got, expected in zip(params.weights + params.biases, want.weights + want.biases):
+            assert got.dtype == np.float64 and np.array_equal(got, expected)
         qnet = fileio.load_quantized_model(files["quantized"])
         want = tiny_qnet()
         assert [w.dtype for w in qnet.weights] == [np.int16, np.int16]
@@ -135,7 +134,7 @@ class TestReaderChecks:
 
     def test_inconsistent_bias_shift_under_a_valid_crc(self, files):
         blob = files["quantized"].read_bytes()
-        body = bytearray(blob[24:-4])
+        body = bytearray(blob[24:-4])  # after the header of a two-layer model
         body[2] += 1
         files["quantized"].write_bytes(blob[:24] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FileFormatError, match="inconsistent bias shift 28 for formats w=14, a=13"):
