@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import sys
 import time
 
@@ -25,7 +26,7 @@ from . import bench, data, evaluation, fileio, model, nn, quant
 from .fileio import ContainerError
 from .nn import TrainConfig
 from .sigsynth import LABEL_NAMES, label_name
-from .stream import FRAME_BYTES, StreamServer
+from .stream import StreamServer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -196,7 +197,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             n_frames, remainder = _classify_raw(net, source)
     if remainder:
         print(
-            f"warning: truncated frame at byte offset {n_frames * FRAME_BYTES}: "
+            f"warning: truncated frame at byte offset {n_frames * model.FRAME_BYTES}: "
             f"{remainder} trailing bytes ignored",
             file=sys.stderr,
         )
@@ -208,21 +209,26 @@ def _classify_raw(net, source) -> tuple[int, int]:
     (frames classified, trailing bytes of a partial frame at the end).
 
     Each ``read1`` asks for ``model.LOGITS_SLICE`` frames. A regular file
-    returns them all; a pipe returns what has arrived, so the batch follows
-    the arrival rate. A partial frame waits for the next read.
+    returns them all; a pipe returns what has arrived, and reads go on while
+    select finds more waiting, so the batch follows the arrival rate. A
+    partial frame waits for the next read.
     """
-    frame_len = FRAME_BYTES // 2
+    slice_bytes = model.LOGITS_SLICE * model.FRAME_BYTES
     n_frames = 0
     pending = b""
-    while chunk := source.read1(model.LOGITS_SLICE * FRAME_BYTES):
-        blob = pending + chunk
-        n_complete = len(blob) // FRAME_BYTES
-        if n_complete:
-            frames_q = np.frombuffer(blob, "<i2", n_complete * frame_len).reshape(-1, frame_len)
+    while chunk := source.read1(slice_bytes):
+        pieces = [pending + chunk]  # joined once; a lone piece is not copied
+        held = len(pieces[0])
+        while held < slice_bytes and select.select([source], [], [], 0)[0]:
+            if not (more := source.read1(slice_bytes - held)):
+                break
+            pieces.append(more)
+            held += len(more)
+        frames_q, pending = model.split_frames(b"".join(pieces))
+        if len(frames_q):
             _print_labels(net, model.raw_logits(net, frames_q), start=n_frames)
             sys.stdout.flush()
-            n_frames += n_complete
-        pending = blob[n_complete * FRAME_BYTES :]
+            n_frames += len(frames_q)
     return n_frames, len(pending)
 
 
@@ -232,7 +238,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server.start()
     host, port = server.address
     print(f"serving {model.path(net)} model on {host}:{port} "
-          f"({FRAME_BYTES}-byte int16 frames in, 2-byte replies out)")
+          f"({model.FRAME_BYTES}-byte int16 frames in, 2-byte replies out)")
     server.serve_forever()
     return EXIT_OK
 
@@ -283,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="print one line per classified frame")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="dataset file input")
-    p.add_argument("--raw", help="raw int16 I/Q file, or '-' for stdin; frames are "
-                   "classified as they are read, at most LOGITS_SLICE per batch, and "
-                   "each batch's lines are flushed")
+    p.add_argument("--raw", help="raw frames in rfmc.model's wire format, from a file or "
+                   "'-' for stdin; frames are classified as they are read, at most "
+                   "LOGITS_SLICE per batch, and each batch's lines are flushed")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("serve", help="TCP stream classifier")

@@ -8,7 +8,12 @@ stream server all run models through ``logits`` or ``raw_logits``.
 Raw input. A raw frame is 1800 int16 values (interleaved I, Q) in Q2.13
 (``quant.INPUT_FORMAT``), whichever model reads it: the quantized path
 feeds them to its datapath, whose input format is always Q2.13, and the
-float path dequantizes them under the same format.
+float path dequantizes them under the same format. On the wire (``rfmc
+serve``, ``classify --raw``) a frame is ``FRAME_BYTES`` = 3600 bytes of
+little-endian int16, frames back to back, and bytes arrive cut anywhere,
+even inside a sample: ``split_frames`` turns the bytes held so far into
+whole frames plus the partial frame's bytes, which wait for more; bytes
+left when the stream ends are no frame.
 """
 
 from __future__ import annotations
@@ -19,6 +24,17 @@ import numpy as np
 
 from . import nn, quant
 from .quant import INPUT_FORMAT, LOGITS_SLICE, QuantizedNetwork
+from .sigsynth import FRAME_LEN
+
+FRAME_BYTES = 2 * FRAME_LEN
+
+
+def split_frames(held: bytes) -> tuple[np.ndarray, bytes]:
+    """The whole raw frames at the start of ``held``, as an (n, 1800) int16
+    view of its bytes (no copy), and the bytes of the partial frame after them."""
+    n_frames = len(held) // FRAME_BYTES
+    frames_q = np.frombuffer(held, "<i2", n_frames * FRAME_LEN).reshape(n_frames, FRAME_LEN)
+    return frames_q, held[n_frames * FRAME_BYTES :]
 
 
 def path(model) -> str:

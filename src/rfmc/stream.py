@@ -1,10 +1,11 @@
 """TCP stream classifier: raw int16 I/Q frames in, 2-byte verdicts out.
 
-Wire format, per frame: 1800 little-endian signed 16-bit integers
-(interleaved I,Q) = 3600 bytes. Each complete frame is answered with two
-bytes: label id, then path id (0=float, 1=quantized), in the order the
-frames arrived on that connection. Partial frames are buffered until
-complete; a connection that closes mid-frame is logged and dropped
+Wire format: raw frames as ``rfmc.model`` defines them (3600 bytes of
+little-endian int16 in Q2.13 each, whichever model the server runs), cut
+into frames by ``model.split_frames``. Each complete frame is answered
+with two bytes: label id, then path id (0=float, 1=quantized), in the
+order the frames arrived on that connection. Partial frames are held
+until complete; a connection that closes mid-frame is logged and dropped
 without disturbing other connections.
 
 One thread runs one ``selectors`` loop over the listener and every
@@ -20,10 +21,6 @@ so a client that never reads cannot stall the loop or grow the buffer.
 ``rfmc.model`` runs a round's batch in slices of ``model.LOGITS_SLICE``
 frames, so its working memory stays bounded however many connections
 are ready.
-
-What the integers mean is fixed: every sample is Q2.13
-(``quant.INPUT_FORMAT``), whichever model the server runs (see
-``rfmc.model``).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from . import model
 
 logger = logging.getLogger(__name__)
 
-FRAME_BYTES = 3600
 PATH_FLOAT = 0
 PATH_QUANTIZED = 1
 
@@ -66,7 +62,7 @@ class _Connection:
 
     def __init__(self, addr) -> None:
         self.addr = addr
-        self.inbox = bytearray()   # bytes of the frame not yet complete
+        self.inbox = b""           # bytes of the frame not yet complete
         self.outbox = bytearray()  # replies the socket has not taken yet
         self.eof = False           # the client finished sending
 
@@ -186,13 +182,8 @@ class StreamServer:
                     state.addr, len(state.inbox),
                 )
             return None
-        state.inbox += data
-        n_frames = len(state.inbox) // FRAME_BYTES
-        if not n_frames:
-            return None
-        complete = state.inbox[: n_frames * FRAME_BYTES]
-        del state.inbox[: n_frames * FRAME_BYTES]
-        return np.frombuffer(complete, "<i2").reshape(n_frames, FRAME_BYTES // 2)
+        frames_q, state.inbox = model.split_frames(state.inbox + data)
+        return frames_q if len(frames_q) else None
 
     def _drop(self, sel, conn: socket.socket, state: _Connection, exc: OSError) -> None:
         """Log why a connection failed and close it."""

@@ -70,15 +70,26 @@ class TestBenchInference:
         assert zlib.crc32(report.labels.tobytes()) == zlib.crc32(plain.tobytes())
 
     def test_quantized_not_slower_than_float_by_much(self, quantized_setup):
+        # The paths take turns, a block of 100 frames each, so a slow phase
+        # of the shared host falls on both, and the medians pass over the
+        # odd stalled frame.
         classifier, frames, params = quantized_setup
         float_frames = bench.gaussian_frames(300, seed=60)
 
         def float_classifier(frame):
             return int(np.argmax(nn.forward(params, frame)[0]))
 
-        q_report = bench.bench_inference(classifier, frames[:300], warmup=50, path="quantized")
-        f_report = bench.bench_inference(float_classifier, float_frames, warmup=50, path="float")
-        assert q_report.mean_ns <= f_report.mean_ns * 1.5
+        paths = {"quantized": (classifier, frames[:300]), "float": (float_classifier, float_frames)}
+        samples_ns = {path: [] for path in paths}
+        for start in range(0, 300, bench.MIN_FRAMES):
+            for path, (path_classifier, path_frames) in paths.items():
+                report = bench.bench_inference(
+                    path_classifier, path_frames[start : start + bench.MIN_FRAMES],
+                    warmup=50 if start == 0 else 0, path=path,
+                )
+                samples_ns[path].append(report.samples_ns)
+        q_median, f_median = (np.median(np.concatenate(samples_ns[path])) for path in paths)
+        assert q_median <= f_median * 1.5
 
 
 class TestBenchThroughput:

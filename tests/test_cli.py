@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import os
 import queue
+import select
 import socket
 import struct
 import subprocess
@@ -18,11 +19,13 @@ import pytest
 
 import model_oracle
 from test_fileio import with_input_frac
+from test_model import SPLITS, pieces
 from rfmc import cli, data, fileio, model, nn, quant, stream
+from rfmc.model import FRAME_BYTES
 from rfmc.quant import INPUT_FORMAT
 from rfmc.seeding import split_seed
 from rfmc.sigsynth import label_name
-from rfmc.stream import FRAME_BYTES, PATH_FLOAT, PATH_QUANTIZED, StreamServer
+from rfmc.stream import PATH_FLOAT, PATH_QUANTIZED, StreamServer
 
 SOCKET_TIMEOUT_S = 10.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -297,6 +300,92 @@ class TestClassify:
                        f"77 trailing bytes ignored\n")
         assert batches == [3, 3, 3, 1]
 
+    class PieceReader:
+        """An in-memory source for ``cli._classify_raw``: ``read1`` returns the
+        given pieces in turn, no more than it is asked for, then b"" for the
+        end. ``fileno`` is ``fd``, so select finds the source readable
+        whenever it finds ``fd`` readable."""
+
+        def __init__(self, parts, fd):
+            self.parts = [part for part in parts if part]
+            self.fd = fd
+
+        def fileno(self):
+            return self.fd
+
+        def read1(self, size):
+            if not self.parts:
+                return b""
+            part = self.parts.pop(0)
+            if len(part) > size:
+                self.parts.insert(0, part[size:])
+            return part[:size]
+
+    @pytest.mark.parametrize("waiting", [False, True], ids=["nothing_waiting", "backlog_waiting"])
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_any_reads_give_the_whole_buffer_lines(self, workspace, capsys, split, waiting):
+        # select sees an empty pipe, which never has more waiting, or
+        # /dev/null, which always has: every piece is classified as it
+        # comes, or the pieces are gathered up to a slice.
+        frames = np.random.default_rng(80).integers(-8192, 8192, (4, 1800), dtype=np.int16)
+        blob = frames.astype("<i2").tobytes() + b"\x55" * 77
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        read_fd, write_fd = os.pipe()
+        try:
+            with open(os.devnull, "rb") as devnull:
+                source = self.PieceReader(pieces(blob, SPLITS[split](len(blob))),
+                                          devnull.fileno() if waiting else read_fd)
+                assert cli._classify_raw(qnet, source) == (4, 77)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert capsys.readouterr().out.splitlines() == self.expected_lines(qnet, frames)
+
+    def test_pipe_backlog_is_gathered_past_one_pipe_buffer(self, workspace, capsys,
+                                                           monkeypatch):
+        # 100 frames are 5.5 pipe buffers of 64 KiB, which hold 18 frames
+        # each. The source waits after each read until the writer has put
+        # more in the pipe or closed it, so a backlog is always waiting.
+        batches = []
+        raw_logits = model.raw_logits
+
+        def recording(net, frames_q):
+            batches.append(len(frames_q))
+            return raw_logits(net, frames_q)
+
+        class Backlogged:
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def fileno(self):
+                return self.pipe.fileno()
+
+            def read1(self, size):
+                data = self.pipe.read1(size)
+                select.select([self.pipe], [], [], SOCKET_TIMEOUT_S)
+                return data
+
+        frames = np.random.default_rng(81).integers(-8192, 8192, (100, 1800), dtype=np.int16)
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        expected = self.expected_lines(qnet, frames)
+        monkeypatch.setattr(model, "raw_logits", recording)
+        read_fd, write_fd = os.pipe()
+
+        def write_all():
+            with open(write_fd, "wb") as pipe:
+                pipe.write(frames.astype("<i2").tobytes())
+
+        writer = threading.Thread(target=write_all)
+        with open(read_fd, "rb") as pipe:
+            writer.start()
+            try:
+                assert cli._classify_raw(qnet, Backlogged(pipe)) == (100, 0)
+            finally:
+                writer.join(timeout=SOCKET_TIMEOUT_S)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out.splitlines() == expected
+        assert batches == [100]
+
     def test_peak_memory_does_not_grow_with_the_file(self, workspace, tmp_path, monkeypatch):
         # The peak counted is what classify --raw allocates on top of the
         # loaded model: the load itself peaks higher than 256 frames take.
@@ -512,19 +601,24 @@ class TestServe:
         return [quant.quantize_frame(rng.standard_normal(1800), INPUT_FORMAT)
                 for _ in range(n)]
 
-    @pytest.mark.parametrize("chunk", [None, 1001], ids=["one_sendall", "odd_chunks"])
-    def test_forty_frames_in_order(self, workspace, chunk):
+    @pytest.mark.parametrize("split", SPLITS.values(),
+                             ids=["one_sendall", "odd_chunks", "byte_by_byte", "inside_a_sample"])
+    def test_forty_frames_in_order(self, workspace, split):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
         frames = self.random_frames(40, seed=5)
         server = StreamServer(qnet)
         server.start()
         try:
             blob = b"".join(f.astype("<i2").tobytes() for f in frames)
-            replies = self.send_frames(server.address, blob, 40, chunk=chunk)
+            with socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as sock:
+                for part in pieces(blob, split(len(blob))):
+                    sock.sendall(part)
+                replies = self.read_replies(sock, 40)
         finally:
             server.stop()
         assert len(replies) == 80
         assert list(replies[0::2]) == [quant.quantized_forward(qnet, f)[1] for f in frames]
+        assert list(replies[0::2]) == list(np.argmax(model.raw_logits(qnet, np.stack(frames)), 1))
         assert set(replies[1::2]) == {PATH_QUANTIZED}
 
     def test_client_that_never_reads_does_not_stall_others(self, workspace):

@@ -2,10 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfmc import model, nn, quant
+from rfmc.model import FRAME_BYTES
 from rfmc.quant import INPUT_FORMAT
 from test_quant import per_neuron_accumulators
+
+# Fixed ways a reader may receive a byte stream of two frames or more, as
+# the offsets it is cut at: uncut, every 1001 bytes, one byte at a time
+# through the second frame, and inside the last sample of the first frame
+# and the first sample of the second.
+SPLITS = {
+    "one_piece": lambda n_bytes: [],
+    "odd_chunks": lambda n_bytes: list(range(1001, n_bytes, 1001)),
+    "byte_by_byte": lambda n_bytes: list(range(FRAME_BYTES, 2 * FRAME_BYTES + 1)),
+    "inside_a_sample": lambda n_bytes: [FRAME_BYTES - 1, FRAME_BYTES + 1],
+}
+
+
+def pieces(blob: bytes, cuts) -> list[bytes]:
+    """``blob`` cut at the sorted offsets ``cuts``."""
+    return [blob[start:end] for start, end in zip([0, *cuts], [*cuts, len(blob)])]
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +47,52 @@ def net(request, small_pipeline, qnet):
 
 def raw_frames(frames):
     return quant.quantize_array(frames, INPUT_FORMAT)
+
+
+def read_in_pieces(parts):
+    """The frames and the leftover bytes of a stream that arrives in
+    ``parts``, each part added to the bytes held so far, as a reader does."""
+    frames, held = [], b""
+    for part in parts:
+        frames_q, held = model.split_frames(held + part)
+        frames.append(frames_q)
+    return np.concatenate(frames), held
+
+
+class TestSplitFrames:
+    @staticmethod
+    def stream(n_frames, tail_len, seed):
+        rng = np.random.default_rng(seed)
+        frames = rng.integers(-32768, 32768, (n_frames, 1800), dtype=np.int16)
+        tail = rng.bytes(tail_len)
+        return frames, tail, frames.astype("<i2").tobytes() + tail
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_cuts_give_the_frames_then_the_tail(self, data):
+        frames, tail, blob = self.stream(
+            data.draw(st.integers(0, 4), label="frames"),
+            data.draw(st.integers(0, FRAME_BYTES - 1), label="tail"),
+            data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=12), label="cuts"))
+        got, held = read_in_pieces(pieces(blob, cuts))
+        assert np.array_equal(got, frames)
+        assert held == tail
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_fixed_cuts_give_the_frames_then_the_tail(self, split):
+        frames, tail, blob = self.stream(3, 77, seed=8)
+        got, held = read_in_pieces(pieces(blob, SPLITS[split](len(blob))))
+        assert np.array_equal(got, frames)
+        assert held == tail
+
+    def test_frames_view_the_bytes_held(self):
+        frames, tail, blob = self.stream(2, 5, seed=9)
+        frames_q, held = model.split_frames(blob)
+        assert frames_q.dtype == np.dtype("<i2") and frames_q.shape == (2, 1800)
+        assert np.shares_memory(frames_q, np.frombuffer(blob, np.uint8))
+        assert np.array_equal(frames_q, frames) and held == tail
 
 
 class TestKind:
