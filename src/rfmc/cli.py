@@ -38,23 +38,32 @@ class UsageError(Exception):
 
 
 def snr_grid_arg(text: str) -> tuple[float, ...]:
-    """Parse --snr: 'start:end:step' in dB (inclusive), or one value."""
+    """Parse --snr: 'start:end:step' in dB (inclusive), or one value; all finite."""
     try:
-        if ":" in text:
-            start_s, end_s, step_s = text.split(":")
-            start, end, step = float(start_s), float(end_s), float(step_s)
-            if step <= 0 or end < start:
-                raise ValueError
-            count = int(round((end - start) / step)) + 1
-            grid = tuple(start + i * step for i in range(count) if start + i * step <= end + 1e-9)
-            if not grid:
-                raise ValueError
-            return grid
-        return (float(text),)
-    except ValueError:
+        values = tuple(float(v) for v in text.split(":"))
+        if not np.all(np.isfinite(values)):
+            raise ValueError
+        if len(values) == 1:
+            return values
+        start, end, step = values
+        if step <= 0 or end < start:
+            raise ValueError
+        count = int(round((end - start) / step)) + 1
+        grid = tuple(start + i * step for i in range(count) if start + i * step <= end + 1e-9)
+        if not grid:
+            raise ValueError
+        return grid
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
-            f"malformed SNR range {text!r}: expected 'start:end:step' in dB"
+            f"malformed SNR range {text!r}: expected finite 'start:end:step' in dB"
         ) from None
+
+
+def port_arg(text: str) -> int:
+    """Parse --port: a TCP port, 0..65535 (0 picks a free one)."""
+    if not (text.isdecimal() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected a port in 0..65535, got {text!r}")
+    return int(text)
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="TCP stream classifier")
     p.add_argument("--model", required=True)
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=port_arg, required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.set_defaults(func=cmd_serve)
 

@@ -3,8 +3,17 @@
 The datapath multiplies int16 weights by int16 activations into a signed
 48-bit accumulator (the modeled DSP register), adds the bias pre-aligned
 at the accumulator position, clamps with ReLU on hidden layers, and
-requantizes with a right shift rounding half away from zero, saturated
-to int16.
+requantizes with a right shift, saturated to int16.
+
+Every float-to-integer step of the datapath (input and weight
+quantization, bias alignment, the requantizer) goes through one kernel,
+``round_saturate``: ``trunc(x + copysign(1/2, x))``, then a clamp. That
+is round half away from zero, ``floor(|x| + 1/2)`` with x's sign, exact
+for every float64 below 2**52 in magnitude but one: for the double just
+below 1/2, ``x + 1/2`` rounds up to 1. (From 2**52 on, odd integers round
+up by one, far above every clamp used.) Callers first scale by a power
+of two, which is exact; a requantized accumulator, an integer times
+2**-shift with shift at most 30, never meets the exception.
 
 The engine computes the multiply-accumulate as a float64 BLAS matmul on
 weights converted to float64 once per network (``prepare_weights``).
@@ -14,12 +23,7 @@ bound ``max_j(sum_k |W_jk| * 32768 + |b_j|)`` is below ``ACC_LIMIT``
 (2**47). Every partial sum of every row therefore is an exact integer
 whatever order BLAS sums in, and the accumulators equal the int64 ones
 bit for bit. (For the 1800-input first layer each int16 product is at
-most 2**30, so the bound stays below 2**42.) The requantizing epilogue
-runs in float64 as ``trunc(acc * 2**-shift + sign(acc) / 2)``, which is
-``floor(|acc| * 2**-shift + 0.5)`` with the sign restored: the scaling is
-by a power of two and ``|acc| + 2**(shift-1)`` stays below 2**53, so the
-rounding is exact too. (A left shift can leave a value above 2**52 that
-the half-adding rounds, but any such value saturates to int16 anyway.)
+most 2**30, so the bound stays below 2**42.)
 """
 
 from __future__ import annotations
@@ -33,11 +37,20 @@ INT16_MAX = 32767
 ACC_LIMIT = 1 << 47
 
 
+def round_saturate(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Round float64 ``x`` half away from zero and clamp it to [lo, hi], in place."""
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    np.minimum(x, hi, out=x)
+    np.maximum(x, lo, out=x)
+    return x
+
+
 def round_shift(values: np.ndarray, shift: int) -> np.ndarray:
     """Shift right by ``shift`` bits rounding half away from zero.
 
-    Negative ``shift`` means shift left (exact). The engine rounds inside
-    ``layer_forward``; this int64 form stays only because the benchmark's
+    Negative ``shift`` means shift left (exact). The engine rounds through
+    ``round_saturate``; this int64 form stays only because the benchmark's
     tracer self-test targets it.
     """
     v = np.asarray(values, dtype=np.int64)
@@ -95,11 +108,7 @@ def layer_forward(
     acc = np.asarray(x, dtype=np.float64) @ weights.T
     acc += bias_acc
     if shift is not None:
-        # trunc(a + sign(a)/2) is round half away from zero; ReLU commutes
-        # with that monotone rounding, so it folds into the lower clip
+        # ReLU commutes with the monotone rounding, so it folds in as lo = 0
         acc *= 2.0**-shift
-        acc += np.copysign(0.5, acc)
-        np.trunc(acc, out=acc)
-        np.minimum(acc, INT16_MAX, out=acc)
-        np.maximum(acc, 0, out=acc)
+        round_saturate(acc, 0, INT16_MAX)
     return acc

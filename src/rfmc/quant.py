@@ -3,10 +3,11 @@
 Scaling is symmetric power-of-two per layer: weights/activations are
 stored as int16, biases as int32 pre-aligned to the accumulator position
 (weight_frac + act_frac), and each hidden layer requantizes its 48-bit
-accumulator down to the next layer's activation format with a rounded
-right shift. The output layer never requantizes: the classifier decision
-is the argmax of the raw integer accumulators (softmax, being monotone,
-cannot change an argmax).
+accumulator down to the next layer's activation format with a right
+shift; each of these rounds through ``kernels.round_saturate``. The
+output layer never requantizes: the classifier decision is the argmax of
+the raw integer accumulators (softmax, being monotone, cannot change an
+argmax).
 
 The weight formats and the hidden activation formats are calibrated from
 data; the input format is not. Every network reads its int16 input as
@@ -66,20 +67,12 @@ INPUT_FORMAT = FixedPointFormat(13)
 
 
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """round(x * 2**frac) half away from zero, saturated to int16, elementwise.
-
-    Works in place on one float64 copy: scaling by a power of two is
-    exact, and adding a half of the value's own sign before truncating
-    rounds half away from zero for either sign.
-    """
+    """x * 2**frac, rounded and saturated to int16 by ``kernels.round_saturate``."""
     x = np.array(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
     x *= fmt.scale
-    x += np.copysign(0.5, x)
-    np.trunc(x, out=x)
-    np.clip(x, INT16_MIN, INT16_MAX, out=x)
-    return x.astype(np.int16)
+    return kernels.round_saturate(x, INT16_MIN, INT16_MAX).astype(np.int16)
 
 
 def dequantize_array(q: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -88,13 +81,14 @@ def dequantize_array(q: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
 
 
 def fmt_for_magnitude(peak: float) -> FixedPointFormat:
-    """Largest frac_bits whose range +-2**(15-frac) covers ``peak``."""
-    if peak <= 0:
-        return FixedPointFormat(15)
-    int_bits = max(0, math.ceil(math.log2(peak)))
-    while 2.0**int_bits < peak:  # guard log2 rounding
-        int_bits += 1
-    return FixedPointFormat(max(0, min(15, 15 - int_bits)))
+    """Largest frac_bits whose range +-2**(15-frac) covers ``peak``: 15 minus the
+    smallest k >= 0 with 2**k >= peak, exactly by ``math.frexp``. Raises
+    ``ValueError`` for a non-finite peak."""
+    if not math.isfinite(peak):
+        raise ValueError(f"cannot choose a fixed-point format for the peak {peak}")
+    mantissa, exponent = math.frexp(max(peak, 0.0))
+    int_bits = max(0, exponent - (mantissa == 0.5))
+    return FixedPointFormat(max(0, 15 - int_bits))
 
 
 def choose_formats(
@@ -183,16 +177,15 @@ class QuantizedNetwork:
 
 
 def _align_bias(bias: np.ndarray, acc_frac: int) -> np.ndarray:
-    """Quantize a float bias vector at the accumulator position (int32 range)."""
-    scale = float(1 << acc_frac)
-    magnitude = np.floor(np.abs(bias) * scale + 0.5)
-    q = np.where(np.asarray(bias) >= 0, magnitude, -magnitude)
-    return np.clip(q, INT32_MIN, INT32_MAX).astype(np.int64)
+    """bias * 2**acc_frac, rounded and saturated to int32 by ``kernels.round_saturate``."""
+    scaled = np.asarray(bias, dtype=np.float64) * 2.0**acc_frac
+    return kernels.round_saturate(scaled, INT32_MIN, INT32_MAX).astype(np.int64)
 
 
 def quantize_network(params: NetworkParams, calibration: np.ndarray) -> QuantizedNetwork:
     """Quantize a trained float network: input ``INPUT_FORMAT``, the other
-    per-layer formats calibrated on ``calibration``."""
+    per-layer formats calibrated on ``calibration``. Weights and biases
+    round and saturate through ``kernels.round_saturate``."""
     params.validate()
     weight_frac, act_frac = choose_formats(params, calibration)
     weights = [
@@ -225,11 +218,9 @@ def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray
     input format of every network, so raw frames need no conversion.
     Each layer runs through ``kernels.layer_forward``, a float64 BLAS
     matmul on the network's pre-converted ``weights_f64``. The logits are
-    the exact integers of the modelled datapath, whatever the batch size:
-    construction of ``qnet`` proved every layer's accumulator bound
-    ``max_j(sum_k |W_jk| * 32768 + |b_j|)`` below ``ACC_LIMIT`` (2**47),
-    and float64 holds every integer below 2**53 exactly, so no partial
-    sum is ever rounded.
+    the exact integers of the modelled datapath, whatever the batch size,
+    because construction of ``qnet`` proved every layer's accumulator
+    bound below ``ACC_LIMIT`` (the ``kernels`` docstring gives the proof).
     """
     frames_q = np.asarray(frames_q)
     if frames_q.dtype != np.int16:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the TCP stream classifier."""
 
+import argparse
 import contextlib
 import hashlib
 import os
@@ -68,6 +69,21 @@ class TestSnrGridArg:
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen-data", "--out", "x", "--snr", "0:18"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", [
+        "-inf:0:1", "0:inf:1", "0:18:inf", "nan:18:2", "0:nan:1", "0:18:nan",
+        "inf", "-inf", "nan", "1e400",
+        "-1e308:1e308:1", "0:1e308:1e-300",  # finite, but the grid's length overflows
+    ])
+    def test_non_finite_exits_2(self, tmp_path, capsys, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.snr_grid_arg(text)
+        out = tmp_path / "never.rfds"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--out", str(out), "--frames-per-class", "1", f"--snr={text}"])
+        assert exc.value.code == 2
+        assert "malformed SNR range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenData:
@@ -933,16 +949,36 @@ class TestExitCodes:
         }[command]
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen([sys.executable, "-m", "rfmc.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == cli.EXIT_OK
+        with subprocess.Popen([sys.executable, "-m", "rfmc.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_OK
         assert err == b""
         if command == "gen-data":
             assert len(data.load_dataset(out)) == 35
         elif command == "train":
             assert fileio.load_float_model(out).n_layers == 3
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1", "http"])
+    def test_serve_port_outside_0_65535_exits_2(self, workspace, monkeypatch, capsys, port):
+        loaded = []
+        monkeypatch.setattr(cli.fileio, "load_model", loaded.append)
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a server was made")
+
+        monkeypatch.setattr(cli, "StreamServer", no_server)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["serve", "--model", str(workspace["qmodel"]), "--port", port])
+        assert exc.value.code == 2
+        assert "0..65535" in capsys.readouterr().err
+        assert loaded == []
+
+    @pytest.mark.parametrize("port", [0, 1, 65535])
+    def test_serve_port_edges_parse(self, port):
+        args = cli.build_parser().parse_args(["serve", "--model", "m", "--port", str(port)])
+        assert args.port == port
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,32 +9,59 @@ INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
 
+ROUND_SHIFT_CASES = [
+    (3, 1, 2),      # 1.5 rounds away to 2
+    (-3, 1, -2),    # -1.5 rounds away to -2
+    (1, 1, 1),      # 0.5 rounds away to 1
+    (-1, 1, -1),
+    (5, 1, 3),      # 2.5 -> 3
+    (100, 0, 100),
+    (7, -2, 28),    # negative shift is a left shift
+    (-7, 3, -1),    # -0.875 -> -1
+    (4, 3, 1),      # 0.5 -> 1
+]
+
+
+def kernel_shift(values, shift):
+    """round_shift through ``round_saturate``, as the requantizer does it, unclamped."""
+    scaled = np.asarray(values, dtype=np.float64) * 2.0**-shift
+    return kernels.round_saturate(scaled, -np.inf, np.inf).astype(np.int64)
+
+
 class TestRoundShift:
-    @pytest.mark.parametrize(
-        "value,shift,expected",
-        [
-            (3, 1, 2),      # 1.5 rounds away to 2
-            (-3, 1, -2),    # -1.5 rounds away to -2
-            (1, 1, 1),      # 0.5 rounds away to 1
-            (-1, 1, -1),
-            (5, 1, 3),      # 2.5 -> 3
-            (100, 0, 100),
-            (7, -2, 28),    # negative shift is a left shift
-            (-7, 3, -1),    # -0.875 -> -1
-            (4, 3, 1),      # 0.5 -> 1
-        ],
-    )
+    @pytest.mark.parametrize("value,shift,expected", ROUND_SHIFT_CASES)
     def test_half_away_from_zero(self, value, shift, expected):
         assert kernels.round_shift(np.array([value]), shift)[0] == expected
+
+    @pytest.mark.parametrize("value,shift,expected", ROUND_SHIFT_CASES)
+    def test_round_saturate_half_away_from_zero(self, value, shift, expected):
+        assert kernel_shift(np.array([value]), shift)[0] == expected
 
     def test_matches_exact_rational_rounding(self, rng):
         values = rng.integers(-(2**40), 2**40, size=1000)
         for shift in (1, 3, 7, 15):
-            got = kernels.round_shift(values, shift)
-            for v, g in zip(values.tolist(), got.tolist()):
-                exact = abs(v) / 2**shift
-                expected = int(exact + 0.5) * (1 if v >= 0 else -1)
-                assert g == expected
+            for rounder in (kernels.round_shift, kernel_shift):
+                got = rounder(values, shift)
+                for v, g in zip(values.tolist(), got.tolist()):
+                    exact = abs(v) / 2**shift
+                    expected = int(exact + 0.5) * (1 if v >= 0 else -1)
+                    assert g == expected
+
+
+class TestRoundSaturate:
+    def test_in_place_and_clamped(self):
+        x = np.array([-7.5, -2.5, -0.5, -0.0, 0.0, 0.49, 0.5, 2.5, 7.5])
+        out = kernels.round_saturate(x, -5, 3)
+        assert out is x
+        assert x.tolist() == [-5, -3, -1, 0, 0, 0, 1, 3, 3]
+
+    def test_stated_exceptions(self):
+        # the module docstring's one inexact input below 2**52, and an odd
+        # integer above it; everything else rounds exactly (the oracle tests)
+        below_half = np.nextafter(0.5, 0)
+        x = np.array([below_half, -below_half, 2.0**52 + 1, 2.0**52 + 2])
+        assert kernels.round_saturate(x, -np.inf, np.inf).tolist() == [
+            1, -1, 2**52 + 2, 2**52 + 2]
 
 
 def random_layer(rng, n_out, n_in, n_frames=None):

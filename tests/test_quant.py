@@ -1,6 +1,8 @@
 """Tests for fixed-point quantization and the integer inference path."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,9 @@ class TestQuantizeValue:
         fmt = FixedPointFormat(1)
         assert quantize_value(0.25, fmt) == 1    # 0.5 scaled -> away
         assert quantize_value(-0.25, fmt) == -1
+        # the kernel behind quantize_array rounds the same ties
+        assert quant.quantize_array(np.array([0.25, -0.25, 0.75, -1.25]), fmt).tolist() == [
+            1, -1, 2, -3]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +146,23 @@ class TestChooseFormats:
         assert quant.fmt_for_magnitude(1.0).frac_bits == 15
         assert quant.fmt_for_magnitude(2.0).frac_bits == 14
         assert quant.fmt_for_magnitude(4.0).frac_bits == 13
+
+    def test_powers_of_two_and_neighbours_match_brute_force(self):
+        def brute_force(peak):
+            covering = [f for f in range(16) if 2.0 ** (15 - f) >= peak]
+            return max(covering, default=0)
+
+        peaks = [0.0, 5e-324, 1e308, np.finfo(np.float64).max]
+        for k in range(-30, 31):
+            p = 2.0**k
+            peaks += [np.nextafter(p, 0), p, np.nextafter(p, np.inf)]
+        for peak in peaks:
+            assert quant.fmt_for_magnitude(float(peak)).frac_bits == brute_force(peak), peak
+
+    @pytest.mark.parametrize("peak", [math.inf, -math.inf, math.nan])
+    def test_non_finite_peak_rejected(self, peak):
+        with pytest.raises(ValueError):
+            quant.fmt_for_magnitude(peak)
 
     def test_all_layers_reported_in_range(self):
         params = nn.init_params((16, 8, 5, 7), seed=0)
@@ -232,6 +254,40 @@ class TestQuantizeNetwork:
         toy = hand_toy_qnet()
         with pytest.raises(ValueError, match="Q2.13"):
             QuantizedNetwork(toy.weights, toy.biases, toy.weight_frac, [input_frac, 12])
+
+
+def aligned_bias_oracle(bias: float, acc_frac: int) -> int:
+    """bias * 2**acc_frac rounded half away from zero, saturated to int32,
+    in exact rationals."""
+    scaled = abs(Fraction(bias)) * 2**acc_frac
+    q = math.floor(scaled + Fraction(1, 2))
+    return max(quant.INT32_MIN, min(quant.INT32_MAX, q if bias >= 0 else -q))
+
+
+class TestAlignBias:
+    def test_ties_and_saturation_against_exact_rationals(self):
+        for acc_frac in range(31):
+            unit = 2.0**-acc_frac
+            ties = [(k + 0.5) * unit for k in
+                    (0, 1, 2, 3, 1000, 2**20 + 1, 2**30, 2**31 - 2, 2**31 - 1, 2**31)]
+            limits = [(2**31 - 1) * unit, 2.0**31 * unit, 1e290]
+            # every neighbour but the one below the first tie: that is the
+            # kernel's one inexact input (tests/test_kernels.py)
+            values = ties + limits + [np.nextafter(v, np.inf) for v in ties + limits]
+            values += [np.nextafter(v, 0) for v in ties[1:] + limits]
+            values += [0.0, unit, 3 * unit]
+            spread = np.random.default_rng(acc_frac).standard_normal(50) * 2.0**20
+            values += (spread * unit).tolist()
+            values += [-v for v in values]
+            got = quant._align_bias(np.array(values), acc_frac)
+            assert got.dtype == np.int64
+            assert got.tolist() == [aligned_bias_oracle(v, acc_frac) for v in values], acc_frac
+
+    def test_saturates_at_both_int32_limits(self):
+        # at acc_frac 30 the int32 range is [-2, 2 - 2**-30]
+        got = quant._align_bias(np.array([2.0, 1e290, -2.0, -2.5, -1e290, 0.5, -0.5]), 30)
+        assert got.tolist() == [quant.INT32_MAX, quant.INT32_MAX, quant.INT32_MIN,
+                                quant.INT32_MIN, quant.INT32_MIN, 2**29, -(2**29)]
 
 
 class TestQuantizeFrame:
