@@ -33,7 +33,6 @@ REFERENCE_LATENCIES = (
 
 @dataclass
 class LatencyReport:
-    path: str
     min_ns: float
     p50_ns: float
     p99_ns: float
@@ -48,7 +47,7 @@ def gaussian_frames(n: int, seed: int = 12345) -> np.ndarray:
     return rng_from_seed(seed).standard_normal((n, FRAME_LEN)) * np.sqrt(0.5)
 
 
-def bench_inference(classifier, frames, warmup: int = 100, path: str = "float") -> LatencyReport:
+def bench_inference(classifier, frames, warmup: int = 100) -> LatencyReport:
     """Time single-frame classification of every frame in ``frames``.
 
     ``classifier`` maps one frame to its label; ``rfmc bench`` passes int16
@@ -74,7 +73,6 @@ def bench_inference(classifier, frames, warmup: int = 100, path: str = "float") 
     wall_ns = time.perf_counter_ns() - wall_start
 
     return LatencyReport(
-        path=path,
         min_ns=float(samples.min()),
         p50_ns=float(np.percentile(samples, 50)),
         p99_ns=float(np.percentile(samples, 99)),
@@ -87,7 +85,6 @@ def bench_inference(classifier, frames, warmup: int = 100, path: str = "float") 
 
 def format_latency_report(report: LatencyReport) -> str:
     lines = [
-        f"path {report.path}",
         f"frames {len(report.samples_ns)}",
         f"min_us {report.min_ns / 1e3:.2f}",
         f"p50_us {report.p50_ns / 1e3:.2f}",

@@ -37,8 +37,9 @@ class UsageError(Exception):
     """Bad flag combinations detected after argparse."""
 
 
-def snr_grid_arg(text: str) -> tuple[float, ...]:
-    """Parse --snr: 'start:end:step' in dB (inclusive), or one value; all finite."""
+def snr_grid_arg(text: str, limit: int = sys.maxsize) -> tuple[float, ...]:
+    """Parse --snr: 'start:end:step' in dB (inclusive), or one value; all
+    finite. At most the first ``limit`` entries are built."""
     try:
         values = tuple(float(v) for v in text.split(":"))
         if not np.all(np.isfinite(values)):
@@ -49,14 +50,18 @@ def snr_grid_arg(text: str) -> tuple[float, ...]:
         if step <= 0 or end < start:
             raise ValueError
         count = int(round((end - start) / step)) + 1
-        grid = tuple(start + i * step for i in range(count) if start + i * step <= end + 1e-9)
-        if not grid:
-            raise ValueError
-        return grid
+        return tuple(start + i * step for i in range(min(count, limit))
+                     if start + i * step <= end + 1e-9)
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"malformed SNR range {text!r}: expected finite 'start:end:step' in dB"
         ) from None
+
+
+def snr_arg(text: str) -> str:
+    """Check --snr as it is parsed; ``cmd_gen_data`` builds the entries it uses."""
+    snr_grid_arg(text, limit=1)
+    return text
 
 
 def port_arg(text: str) -> int:
@@ -69,7 +74,7 @@ def port_arg(text: str) -> int:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = data.DatasetSpec(
         frames_per_class=args.frames_per_class,
-        snr_grid=args.snr,
+        snr_grid=snr_grid_arg(args.snr, limit=args.frames_per_class),
         master_seed=args.seed,
     )
     t0 = time.time()
@@ -168,7 +173,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def classifier(frame_q):
         return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
 
-    report = bench.bench_inference(classifier, frames_q, warmup=args.warmup, path=model.path(net))
+    report = bench.bench_inference(classifier, frames_q, warmup=args.warmup)
+    print(f"path {model.path(net)}")
     print(bench.format_latency_report(report))
     return EXIT_OK
 
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="synthesize a labeled dataset file")
     p.add_argument("--out", required=True)
     p.add_argument("--frames-per-class", type=int, default=100)
-    p.add_argument("--snr", type=snr_grid_arg, default=snr_grid_arg("0:18:2"))
+    p.add_argument("--snr", type=snr_arg, default="0:18:2")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 

@@ -11,22 +11,22 @@ dataset with N frames per class is, class by class, a prefix of one with
 more. ``build_dataset`` makes each class in one batch. Frames are stored
 as f32; noise-class records carry an n/a flag instead of an SNR.
 
-File layout (little-endian): magic "RFDS" | version u16 | record count
-u32 | frame length u16 | records (label u8, snr flag u8 0=valid 1=n/a,
-snr_db f32, frame 1800 x f32) | CRC32 of the records, u32, which ends the
-file.
+A dataset file is an ``rfmc.fileio`` container with the magic "RFDS";
+after the version its header holds the record count u32 and the frame
+length u16, and its body is the records: label u8, snr flag u8 (0=valid,
+1=n/a), snr_db f32, frame 1800 x f32.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, sigsynth
-from .fileio import FileFormatError, check_remaining, check_trailer, read_exact, write_body
+from .fileio import (FileFormatError, check_remaining, check_trailer, read_exact, read_preamble,
+                     write_file)
 from .quant import LOGITS_SLICE
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
@@ -143,10 +143,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     records["snr_flag"] = np.where(np.isnan(dataset.snr_db), 1, 0)
     records["snr_db"] = dataset.snr_db
     records["frame"] = dataset.frames
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<HIH", DATASET_VERSION, len(dataset), FRAME_LEN))
-        write_body(f, records.tobytes())
+    write_file(path, DATASET_MAGIC, "<HIH", (DATASET_VERSION, len(dataset), FRAME_LEN), [records])
 
 
 def load_dataset(path: str) -> Dataset:
@@ -157,12 +154,7 @@ def load_dataset(path: str) -> Dataset:
     whole body as well as the frames: it peaks near the frames' own size.
     """
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != DATASET_MAGIC:
-            raise FileFormatError(f"not a dataset file: bad magic {magic!r}")
-        version, count, frame_len = struct.unpack("<HIH", read_exact(f, 8, "header"))
-        if version != DATASET_VERSION:
-            raise FileFormatError(f"unsupported dataset version {version}")
+        count, frame_len = read_preamble(f, DATASET_MAGIC, DATASET_VERSION, "<HIH", "dataset")
         if frame_len != FRAME_LEN:
             raise FileFormatError(f"unexpected frame length {frame_len}")
         check_remaining(f, count * _RECORD_DTYPE.itemsize, "records")

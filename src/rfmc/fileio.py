@@ -1,24 +1,26 @@
-"""Binary model container shared by the float and quantized networks.
+"""Binary containers: the float model, the quantized model and the dataset.
 
-Layout (all little-endian):
+All three kinds share one framing (little-endian), written by
+``write_file`` and opened by ``read_preamble``:
 
-  header:  magic "RFMC" | version u16 | kind u8 (0=float, 1=quantized)
-           | layer count u8 | per layer: out_dim u32, in_dim u32
-  body:    per layer: format bytes, weights row-major, then biases, as
-           ``BODY_LAYOUTS`` gives them for the kind:
-             float:      no format bytes, weights f64, biases f64
-             quantized:  weight frac_bits u8, activation frac_bits u8,
-                         bias shift u8 (= weight_frac + act_frac), weights
-                         int16, biases int32 (pre-aligned at the bias shift)
-  trailer: CRC32 of the body, u32, which ends the file
+  magic, 4 bytes | version u16 | the kind's other header fields | body
+  | CRC32 of the body, u32: the trailer, which ends the file
 
-Corruption, truncation, and unknown formats raise distinct exceptions so
-callers can report them separately. Headers come from outside the
-program: layer dims must chain, and every size a header claims is checked
-against the size of the file before it is read, so a hostile header ends
-in a ``FileFormatError`` (``TruncatedFileError`` is one), never in an
-allocation of the size it claims. Bytes after the trailer are a
-``FileFormatError`` too.
+Files come from outside the program. Every size a header claims is
+checked against the size of the file before anything of that size is
+allocated or read, so a hostile header ends in a ``FileFormatError``
+(``TruncatedFileError`` is one), never in an allocation. Bytes after the
+trailer are a ``FileFormatError`` too; a body failing its CRC is a
+``ChecksumError``. ``rfmc.data`` gives the dataset's header and body.
+
+A model file has the magic "RFMC", a header of kind u8 (0=float,
+1=quantized), layer count u8 and per layer out_dim u32, in_dim u32 (the
+dims must chain), and a body of, per layer, the format bytes, the weights
+row-major and the biases, as ``BODY_LAYOUTS`` gives them for the kind:
+  float:      no format bytes, weights f64, biases f64
+  quantized:  weight frac_bits u8, activation frac_bits u8, bias shift u8
+              (= weight_frac + act_frac), weights int16, biases int32
+              (pre-aligned at the bias shift)
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import BinaryIO, NamedTuple, Union
+from typing import BinaryIO, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -81,12 +83,7 @@ def check_remaining(f: BinaryIO, n: int, what: str) -> None:
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a file.
-
-    ``n`` is checked against the bytes left in the file (``os.fstat``)
-    before anything is read, so a header claiming a huge size is rejected
-    without allocating it.
-    """
+    """Read exactly ``n`` bytes of a file, checked by ``check_remaining`` first."""
     check_remaining(f, n, what)
     data = f.read(n)
     if len(data) != n:
@@ -94,20 +91,45 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
-def _write_header(f: BinaryIO, kind: int, dims: list[tuple[int, int]]) -> None:
-    f.write(MODEL_MAGIC)
-    f.write(struct.pack("<HBB", MODEL_VERSION, kind, len(dims)))
-    for out_dim, in_dim in dims:
-        f.write(struct.pack("<II", out_dim, in_dim))
+def write_file(path: str, magic: bytes, fmt: str, header: tuple, body_parts: Iterable) -> None:
+    """Write a container: ``magic``, ``header`` packed by ``fmt`` (the version
+    u16 first), each of ``body_parts`` (contiguous buffers) as it is, and the
+    CRC32 trailer."""
+    crc = 0
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(fmt, *header))
+        for part in body_parts:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
+
+
+def read_preamble(f: BinaryIO, magic: bytes, version: int, fmt: str, what: str) -> list:
+    """Check a container's magic and version, and return the other fields of
+    its header (``fmt``, the version u16 first); ``what`` names the kind."""
+    found = read_exact(f, len(magic), "magic")
+    if found != magic:
+        raise FileFormatError(f"not a {what} file: bad magic {found!r}")
+    found_version, *fields = struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), "header"))
+    if found_version != version:
+        raise FileFormatError(f"unsupported {what} version {found_version}")
+    return fields
+
+
+def check_trailer(f: BinaryIO, crc: int, what: str) -> None:
+    """Read the CRC32 trailer, which must end the file, and check it against
+    ``crc``, the ``zlib.crc32`` of the body; ``what`` names the body in a
+    mismatch."""
+    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
+    if stored != crc:
+        raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {crc:#x}")
 
 
 def _read_header(f: BinaryIO) -> tuple[int, list[tuple[int, int]]]:
-    magic = read_exact(f, 4, "magic")
-    if magic != MODEL_MAGIC:
-        raise FileFormatError(f"not a model file: bad magic {magic!r}")
-    version, kind, n_layers = struct.unpack("<HBB", read_exact(f, 4, "header"))
-    if version != MODEL_VERSION:
-        raise FileFormatError(f"unsupported model version {version}")
+    kind, n_layers = read_preamble(f, MODEL_MAGIC, MODEL_VERSION, "<HBB", "model")
     if kind not in BODY_LAYOUTS:
         raise FileFormatError(f"unknown model kind {kind}")
     if n_layers == 0:
@@ -124,38 +146,19 @@ def _read_header(f: BinaryIO) -> tuple[int, list[tuple[int, int]]]:
     return kind, dims
 
 
-def write_body(f: BinaryIO, body: bytes) -> None:
-    """Write ``body`` and the CRC32 trailer that ends the file."""
-    f.write(body)
-    f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-
-
-def check_trailer(f: BinaryIO, crc: int, what: str) -> None:
-    """Read the CRC32 trailer, which must end the file, and check it against
-    ``crc``, the ``zlib.crc32`` of the body; ``what`` names the body in a
-    mismatch."""
-    (stored,) = struct.unpack("<I", read_exact(f, 4, "checksum"))
-    extra = os.fstat(f.fileno()).st_size - f.tell()
-    if extra:
-        raise FileFormatError(f"{extra} unexpected bytes after the checksum trailer")
-    actual = crc & 0xFFFFFFFF
-    if stored != actual:
-        raise ChecksumError(f"{what} CRC mismatch: stored {stored:#x}, computed {actual:#x}")
-
-
 def _save_model(path: str, net: Union[NetworkParams, QuantizedNetwork], kind: int,
                 formats: list[tuple[int, ...]]) -> None:
     """Write ``net`` as a model of ``kind``, with each layer's ``formats`` bytes."""
     layout = BODY_LAYOUTS[kind]
-    chunks = []
-    for w, b, fmt in zip(net.weights, net.biases, formats):
-        chunks.append(bytes(fmt))
-        chunks.append(np.ascontiguousarray(w, dtype=layout.weight).tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype=layout.bias).tobytes())
-    body = b"".join(chunks)
-    with open(path, "wb") as f:
-        _write_header(f, kind, [w.shape for w in net.weights])
-        write_body(f, body)
+    dims = [d for w in net.weights for d in w.shape]
+    body_parts = (
+        part
+        for w, b, layer_format in zip(net.weights, net.biases, formats)
+        for part in (bytes(layer_format), np.ascontiguousarray(w, dtype=layout.weight),
+                     np.ascontiguousarray(b, dtype=layout.bias))
+    )
+    write_file(path, MODEL_MAGIC, f"<HBB{len(dims)}I", (MODEL_VERSION, kind, net.n_layers, *dims),
+               body_parts)
 
 
 def save_float_model(path: str, params: NetworkParams) -> None:

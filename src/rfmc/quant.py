@@ -178,7 +178,8 @@ class QuantizedNetwork:
 
 def _align_bias(bias: np.ndarray, acc_frac: int) -> np.ndarray:
     """bias * 2**acc_frac, rounded and saturated to int32 by ``kernels.round_saturate``."""
-    scaled = np.asarray(bias, dtype=np.float64) * 2.0**acc_frac
+    with np.errstate(over="ignore"):  # a scale that overflows to inf saturates
+        scaled = np.asarray(bias, dtype=np.float64) * 2.0**acc_frac
     return kernels.round_saturate(scaled, INT32_MIN, INT32_MAX).astype(np.int64)
 
 

@@ -46,7 +46,7 @@ class TestBenchInference:
 
     def test_report_fields_ordered(self, quantized_setup):
         classifier, frames, _ = quantized_setup
-        report = bench.bench_inference(classifier, frames[:200], warmup=20, path="quantized")
+        report = bench.bench_inference(classifier, frames[:200], warmup=20)
         assert report.min_ns <= report.p50_ns <= report.p99_ns
         assert report.mean_ns > 0
         assert len(report.samples_ns) == 200
@@ -85,7 +85,7 @@ class TestBenchInference:
             for path, (path_classifier, path_frames) in paths.items():
                 report = bench.bench_inference(
                     path_classifier, path_frames[start : start + bench.MIN_FRAMES],
-                    warmup=50 if start == 0 else 0, path=path,
+                    warmup=50 if start == 0 else 0,
                 )
                 samples_ns[path].append(report.samples_ns)
         q_median, f_median = (np.median(np.concatenate(samples_ns[path])) for path in paths)
@@ -129,9 +129,8 @@ class TestGaussianFrames:
 class TestFormatReport:
     def test_contains_reference_context(self, quantized_setup):
         classifier, frames, _ = quantized_setup
-        report = bench.bench_inference(classifier, frames[:150], warmup=10, path="quantized")
+        report = bench.bench_inference(classifier, frames[:150], warmup=10)
         text = bench.format_latency_report(report)
-        assert "path quantized" in text
         assert "mean_us" in text
         assert "FPGA (reference) 24.0 us/sample" in text
         assert "Xavier GPU (reference) 3600.0 us/sample" in text

@@ -65,6 +65,16 @@ class TestSnrGridArg:
     def test_single_value(self):
         assert cli.snr_grid_arg("7.5") == (7.5,)
 
+    def test_fine_range_builds_only_the_frames_entries(self, tmp_path, capsys):
+        # the full grid would hold 18e9 entries
+        first_3 = tuple(i * 1e-9 for i in range(3))
+        assert cli.snr_grid_arg("0:18:1e-9", limit=3) == first_3
+        out, want = tmp_path / "fine.rfds", tmp_path / "first_3.rfds"
+        assert cli.main(["gen-data", "--out", str(out), "--frames-per-class", "3",
+                         "--snr", "0:18:1e-9"]) == 0
+        data.save_dataset(data.build_dataset(data.DatasetSpec(3, first_3)), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_malformed_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen-data", "--out", "x", "--snr", "0:18"])

@@ -205,13 +205,28 @@ class TestFileRoundTrip:
         with pytest.raises(TruncatedFileError):
             data.load_dataset(path)
 
-    def test_load_peaks_near_the_frames_size(self, tmp_path):
-        # 2,100 records: eight full LOGITS_SLICE reads and a partial one
-        n = 2100
+    @staticmethod
+    def random_dataset(n: int) -> data.Dataset:
         rng = np.random.default_rng(5)
         snr_db = rng.choice([np.nan, 0.0, 6.0], n).astype(np.float32)
-        ds = data.Dataset(rng.standard_normal((n, FRAME_LEN), dtype=np.float32),
-                          rng.integers(0, 7, n).astype(np.uint8), snr_db)
+        return data.Dataset(rng.standard_normal((n, FRAME_LEN), dtype=np.float32),
+                            rng.integers(0, 7, n).astype(np.uint8), snr_db)
+
+    def test_save_peaks_near_the_frames_size(self, tmp_path):
+        ds = self.random_dataset(2100)
+        path = tmp_path / "big.rfds"
+        tracemalloc.start()
+        try:
+            data.save_dataset(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert datasets_equal(ds, data.load_dataset(path))
+        assert peak <= 1.5 * ds.frames.nbytes, peak / ds.frames.nbytes
+
+    def test_load_peaks_near_the_frames_size(self, tmp_path):
+        # 2,100 records: eight full LOGITS_SLICE reads and a partial one
+        ds = self.random_dataset(2100)
         path = tmp_path / "big.rfds"
         data.save_dataset(ds, path)
         tracemalloc.start()

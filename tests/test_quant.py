@@ -256,6 +256,9 @@ class TestQuantizeNetwork:
             QuantizedNetwork(toy.weights, toy.biases, toy.weight_frac, [input_frac, 12])
 
 
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
 def aligned_bias_oracle(bias: float, acc_frac: int) -> int:
     """bias * 2**acc_frac rounded half away from zero, saturated to int32,
     in exact rationals."""
@@ -270,10 +273,10 @@ class TestAlignBias:
             unit = 2.0**-acc_frac
             ties = [(k + 0.5) * unit for k in
                     (0, 1, 2, 3, 1000, 2**20 + 1, 2**30, 2**31 - 2, 2**31 - 1, 2**31)]
-            limits = [(2**31 - 1) * unit, 2.0**31 * unit, 1e290]
-            # every neighbour but the one below the first tie: that is the
-            # kernel's one inexact input (tests/test_kernels.py)
-            values = ties + limits + [np.nextafter(v, np.inf) for v in ties + limits]
+            limits = [(2**31 - 1) * unit, 2.0**31 * unit, 1e290, FLOAT64_MAX]
+            # every neighbour but the one below the first tie, the kernel's
+            # one inexact input (tests/test_kernels.py), and the inf above the max
+            values = ties + limits + [np.nextafter(v, np.inf) for v in ties + limits[:-1]]
             values += [np.nextafter(v, 0) for v in ties[1:] + limits]
             values += [0.0, unit, 3 * unit]
             spread = np.random.default_rng(acc_frac).standard_normal(50) * 2.0**20
@@ -285,9 +288,9 @@ class TestAlignBias:
 
     def test_saturates_at_both_int32_limits(self):
         # at acc_frac 30 the int32 range is [-2, 2 - 2**-30]
-        got = quant._align_bias(np.array([2.0, 1e290, -2.0, -2.5, -1e290, 0.5, -0.5]), 30)
-        assert got.tolist() == [quant.INT32_MAX, quant.INT32_MAX, quant.INT32_MIN,
-                                quant.INT32_MIN, quant.INT32_MIN, 2**29, -(2**29)]
+        values = [2.0, 1e290, FLOAT64_MAX, -2.0, -2.5, -1e290, -FLOAT64_MAX, 0.5, -0.5]
+        got = quant._align_bias(np.array(values), 30)
+        assert got.tolist() == [quant.INT32_MAX] * 3 + [quant.INT32_MIN] * 4 + [2**29, -(2**29)]
 
 
 class TestQuantizeFrame:
