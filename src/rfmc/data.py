@@ -137,13 +137,22 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write ``dataset``, building its records ``LOGITS_SLICE`` at a time."""
     dataset.validate()
-    records = np.empty(len(dataset), dtype=_RECORD_DTYPE)
-    records["label"] = dataset.labels
-    records["snr_flag"] = np.where(np.isnan(dataset.snr_db), 1, 0)
-    records["snr_db"] = dataset.snr_db
-    records["frame"] = dataset.frames
-    write_file(path, DATASET_MAGIC, "<HIH", (DATASET_VERSION, len(dataset), FRAME_LEN), [records])
+
+    def record_slices():
+        for start in range(0, len(dataset), LOGITS_SLICE):
+            rows = slice(start, start + LOGITS_SLICE)
+            snr_db = dataset.snr_db[rows]
+            records = np.empty(len(snr_db), dtype=_RECORD_DTYPE)
+            records["label"] = dataset.labels[rows]
+            records["snr_flag"] = np.isnan(snr_db)
+            records["snr_db"] = snr_db
+            records["frame"] = dataset.frames[rows]
+            yield records
+
+    write_file(path, DATASET_MAGIC, "<HIH", (DATASET_VERSION, len(dataset), FRAME_LEN),
+               record_slices())
 
 
 def load_dataset(path: str) -> Dataset:

@@ -25,12 +25,6 @@ class EvalReport:
     by_snr: list[tuple[float, int, float]]  # (snr_db, n, accuracy), sorted
 
 
-@dataclass
-class ReportDelta:
-    accuracy_gap: float            # b.overall_accuracy - a.overall_accuracy
-    per_class_error_delta: np.ndarray
-
-
 def evaluate(classifier: Callable[[np.ndarray], np.ndarray], dataset: Dataset) -> EvalReport:
     """Classify every record in one call and tally the results.
 
@@ -60,18 +54,6 @@ def evaluate(classifier: Callable[[np.ndarray], np.ndarray], dataset: Dataset) -
         mask = dataset.snr_db == snr
         by_snr.append((float(snr), int(mask.sum()), float(correct[mask].mean())))
     return EvalReport(confusion, overall, per_class_error, by_snr)
-
-
-def compare_reports(a: EvalReport, b: EvalReport) -> ReportDelta:
-    """Accuracy gap (b minus a) and per-class error deltas over the same data."""
-    if int(a.confusion.sum()) != int(b.confusion.sum()):
-        raise ValueError("reports cover different numbers of records")
-    if not np.array_equal(a.confusion.sum(axis=1), b.confusion.sum(axis=1)):
-        raise ValueError("reports cover different ground-truth distributions")
-    return ReportDelta(
-        accuracy_gap=b.overall_accuracy - a.overall_accuracy,
-        per_class_error_delta=b.per_class_error - a.per_class_error,
-    )
 
 
 def format_report(report: EvalReport) -> str:

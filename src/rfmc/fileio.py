@@ -189,15 +189,14 @@ def load_model(path: str) -> Union[NetworkParams, QuantizedNetwork]:
     for out_dim, in_dim in dims:
         formats.append(tuple(body[offset : offset + layout.format_bytes]))
         offset += layout.format_bytes
-        # Views into the body: int16 weights are used as read, without a copy.
+        # Views into the body: both kinds' weights are used as read, uncopied.
         n = out_dim * in_dim
         weights.append(np.frombuffer(body, layout.weight, n, offset).reshape(out_dim, in_dim))
         offset += weights[-1].nbytes
         biases.append(np.frombuffer(body, layout.bias, out_dim, offset))
         offset += biases[-1].nbytes
     if kind == KIND_FLOAT:
-        params = NetworkParams([w.astype(np.float64) for w in weights],
-                               [b.astype(np.float64) for b in biases])
+        params = NetworkParams(weights, biases)
         params.validate()
         return params
     for wf, af, shift in formats:

@@ -10,6 +10,9 @@ through ``rfmc.model``), training (``_forward_backward``, then the in-place
 it. ``forward`` and ``adam_step`` are one-frame and copying forms that stay
 only because the benchmark traces them.
 
+``train`` has one recipe, Adam at ``LEARNING_RATE`` then decoupled weight
+decay ``WEIGHT_DECAY``; ``TrainConfig`` sets the batch size, epochs and seed.
+
 ``train`` runs in float32: frames, parameters, gradients and Adam state.
 The deployed datapath is 16-bit fixed point, so float64 training carries
 precision that deployment throws away. ``train`` returns float64
@@ -35,28 +38,25 @@ LOSS_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+LEARNING_RATE = 1e-3
+
+# Decoupled L2 decay on weights (biases exempt), applied by train() after
+# each Adam step. Without it the over-parameterized first layer memorizes
+# raw I/Q training frames instead of learning statistics.
+WEIGHT_DECAY = 1.0
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 30
-    # Decoupled L2 decay on weights (biases exempt), applied by train()
-    # after each Adam step. Without it the over-parameterized first layer
-    # memorizes raw I/Q training frames instead of learning statistics.
-    weight_decay: float = 1.0
     seed: int = 0
 
     def validate(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be >= 0 and finite")
 
 
 @dataclass
@@ -90,12 +90,6 @@ class NetworkParams:
             prev_out = w.shape[0]
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
 
 @dataclass
@@ -188,7 +182,7 @@ def forward(params: NetworkParams, frame: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _forward_backward(
     params: NetworkParams, x: np.ndarray, labels: np.ndarray
-) -> tuple[Gradients, float]:
+) -> tuple[NetworkParams, float]:
     """Mean cross-entropy gradients over a batch, plus the mean loss.
 
     The gradients take the dtype of ``params`` and ``x``: float32 in
@@ -215,10 +209,10 @@ def _forward_backward(
         if i > 0:
             # ReLU subgradient, 0 at exactly 0: acts[i] = max(z, 0) > 0 iff z > 0.
             delta = (delta @ params.weights[i]) * (acts[i] > 0)
-    return Gradients(grad_w, grad_b), loss
+    return NetworkParams(grad_w, grad_b), loss
 
 
-def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, config: TrainConfig) -> None:
+def adam_update(params: NetworkParams, grads: NetworkParams, state: AdamState) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     Allocates nothing per step: the work buffers live in ``state``.
@@ -231,7 +225,7 @@ def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, confi
 
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LEARNING_RATE
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
 
@@ -257,10 +251,7 @@ def adam_update(params: NetworkParams, grads: Gradients, state: AdamState, confi
 
 
 def adam_step(
-    params: NetworkParams,
-    grads: Gradients,
-    state: AdamState,
-    config: TrainConfig,
+    params: NetworkParams, grads: NetworkParams, state: AdamState
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update; returns new params and state.
 
@@ -269,7 +260,7 @@ def adam_step(
     because the benchmark traces it.
     """
     params, state = params.copy(), state.copy()
-    adam_update(params, grads, state, config)
+    adam_update(params, grads, state)
     return params, state
 
 
@@ -283,7 +274,9 @@ def train(
 
     Requires every output class to be present in ``labels``. Batches are
     reshuffled each epoch from the config seed, so the whole run is a pure
-    function of (frames, labels, config).
+    function of (frames, labels, config). Each batch takes one
+    ``adam_update`` at ``LEARNING_RATE``, then the weights decay by
+    ``LEARNING_RATE * WEIGHT_DECAY``.
 
     Training runs in float32: float32 frames are used as they are (others
     are converted once), and the parameters, gradients, Adam moments and
@@ -309,7 +302,7 @@ def train(
     shuffle_rng = rng_from_seed(shuffle_seed)
 
     n = x.shape[0]
-    decay = np.float32(1.0 - config.learning_rate * config.weight_decay)
+    decay = np.float32(1.0 - LEARNING_RATE * WEIGHT_DECAY)
     history: list[float] = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -318,10 +311,9 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             grads, loss = _forward_backward(params, x[idx], y[idx])
-            adam_update(params, grads, state, config)
-            if config.weight_decay:
-                for w in params.weights:
-                    w *= decay
+            adam_update(params, grads, state)
+            for w in params.weights:
+                w *= decay
             epoch_loss += loss
             n_batches += 1
         history.append(epoch_loss / n_batches)

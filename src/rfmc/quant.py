@@ -34,7 +34,7 @@ CALIBRATION_PERCENTILE = 99.9
 # Frames per slice when a large batch runs through a network: calibration
 # here, ``rfmc.model``'s ``logits`` and ``raw_logits``, ``rfmc classify
 # --raw``, which reads, classifies and prints at most this many frames a
-# turn, and ``rfmc.data.load_dataset``, which reads this many records a
+# turn, and ``rfmc.data.load_dataset``/``save_dataset``, this many records a
 # turn. A slice's float64 working copy takes 14.4 KB per frame: 3.7 MB at
 # 256 frames against 14.7 MB at 1024, so far less memory is touched. On the
 # benchmark's offline workload (2 vCPUs, OpenBLAS 0.3.31; 10 alternating

@@ -155,6 +155,15 @@ class TestTrain:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--batch", "--weight-decay", "--train-fraction"])
+    def test_removed_flags_exit_2(self, workspace, tmp_path, capsys, flag):
+        out = tmp_path / "m.rfmc"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", str(workspace["ds"]), "--out", str(out), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuantize:
     def test_deterministic(self, workspace, tmp_path):
@@ -201,6 +210,8 @@ class TestEval:
         ]
         assert [float(l.split()[1]) for l in stdout.splitlines()
                 if l.startswith("overall_accuracy")] == pytest.approx(expected, abs=1e-6)
+        assert float(line.split()[1]) == pytest.approx(expected[1] - expected[0], abs=2e-6)
+        assert len([l for l in stdout.splitlines() if l.startswith("  error_delta")]) == 7
 
     def test_output_parses(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "eval", "--model", str(workspace["qmodel"]),
@@ -989,6 +1000,11 @@ class TestExitCodes:
     def test_serve_port_edges_parse(self, port):
         args = cli.build_parser().parse_args(["serve", "--model", "m", "--port", str(port)])
         assert args.port == port
+
+    @pytest.mark.parametrize("argv, host", [([], "127.0.0.1"), (["--host", "0.0.0.0"], "0.0.0.0")])
+    def test_serve_host_parses(self, argv, host):
+        args = cli.build_parser().parse_args(["serve", "--model", "m", "--port", "0", *argv])
+        assert args.host == host
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Tests for the model container's checks on files from outside."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -151,3 +152,17 @@ class TestReaderChecks:
         files["float"].write_bytes(blob[:offset] + value + blob[offset + len(value):])
         with pytest.raises(FileFormatError, match=message):
             fileio.load_model(files["float"])
+
+
+def test_float_load_peaks_near_the_file_size(tmp_path):
+    # The float64 layers are views into the body as read, not copies of it.
+    path = tmp_path / "f.rfmc"
+    fileio.save_float_model(path, nn.init_params(nn.ARCH, seed=0))
+    tracemalloc.start()
+    try:
+        params = fileio.load_float_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.n_layers == len(nn.ARCH) - 1
+    assert peak <= 1.5 * path.stat().st_size, peak / path.stat().st_size

@@ -279,38 +279,36 @@ class TestGradients:
 class TestAdamStep:
     def test_zero_gradient_keeps_parameters(self):
         params = nn.init_params((4, 3, 2), seed=7)
-        grads = nn.Gradients(
+        grads = NetworkParams(
             [np.zeros_like(w) for w in params.weights],
             [np.zeros_like(b) for b in params.biases],
         )
-        out, state = nn.adam_step(params, grads, AdamState.zeros(params), TrainConfig())
+        out, state = nn.adam_step(params, grads, AdamState.zeros(params))
         for a, b in zip(out.weights + out.biases, params.weights + params.biases):
             assert np.array_equal(a, b)
         assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self, rng):
         params = nn.init_params((4, 3, 2), seed=8)
-        config = TrainConfig()
-        grads = nn.Gradients(
+        grads = NetworkParams(
             [rng.uniform(0.5, 2.0, w.shape) * np.sign(rng.standard_normal(w.shape))
              for w in params.weights],
             [rng.uniform(0.5, 2.0, b.shape) for b in params.biases],
         )
-        out, _ = nn.adam_step(params, grads, AdamState.zeros(params), config)
+        out, _ = nn.adam_step(params, grads, AdamState.zeros(params))
         for before, after, g in zip(params.weights, out.weights, grads.weights):
             step = after - before
-            assert np.allclose(np.abs(step), config.learning_rate, rtol=1e-3)
+            assert np.allclose(np.abs(step), nn.LEARNING_RATE, rtol=1e-3)
             assert np.all(np.sign(step) == -np.sign(g))
 
     def test_deterministic_sequences(self):
         params, x, y = toy_net(seed=2)
-        config = TrainConfig()
 
         def run():
             p, s = params.copy(), AdamState.zeros(params)
             for _ in range(5):
                 g = gradients(p, x, np.array([y]))
-                p, s = nn.adam_step(p, g, s, config)
+                p, s = nn.adam_step(p, g, s)
             return p
 
         a, b = run(), run()
@@ -319,12 +317,12 @@ class TestAdamStep:
 
     def test_shape_mismatch_rejected(self):
         params = nn.init_params((4, 3, 2), seed=9)
-        bad = nn.Gradients(
+        bad = NetworkParams(
             [np.zeros((1, 1)) for _ in params.weights],
             [np.zeros_like(b) for b in params.biases],
         )
         with pytest.raises(ValueError):
-            nn.adam_step(params, bad, AdamState.zeros(params), TrainConfig())
+            nn.adam_step(params, bad, AdamState.zeros(params))
 
 
 class TestTrain:
