@@ -3,7 +3,7 @@
 from .channel import CLEAN, DEFAULT_SNR_GRID
 from .data import Dataset, DatasetSpec, build_dataset, load_dataset, save_dataset, split
 from .nn import ARCH, NetworkParams, TrainConfig, train
-from .quant import FixedPointFormat, QuantizedNetwork, quantize_network, quantized_logits
+from .quant import QuantizedNetwork, quantize_network, quantized_logits
 from .sigsynth import FRAME_LEN, FRAME_SAMPLES, LABEL_NAMES, ModulationLabel
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "DatasetSpec",
     "FRAME_LEN",
     "FRAME_SAMPLES",
-    "FixedPointFormat",
     "LABEL_NAMES",
     "ModulationLabel",
     "NetworkParams",

@@ -116,12 +116,11 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     qnet = quant.quantize_network(params, calibration.frames)
     fileio.save_quantized_model(args.out, qnet)
     print(f"wrote {args.out}")
-    print(f"input_format Q{15 - quant.INPUT_FORMAT.frac_bits}.{quant.INPUT_FORMAT.frac_bits} "
+    print(f"input_format Q{15 - quant.INPUT_FORMAT}.{quant.INPUT_FORMAT} "
           f"(raw int16 streams must be pre-quantized to this format)")
     for i in range(qnet.n_layers):
-        fmt = quant.FixedPointFormat(qnet.weight_frac[i])
         err = np.max(np.abs(
-            quant.dequantize_array(qnet.weights[i], fmt) - params.weights[i]
+            quant.dequantize_array(qnet.weights[i], qnet.weight_frac[i]) - params.weights[i]
         ))
         print(
             f"  layer {i}: weight_frac {qnet.weight_frac[i]} act_frac {qnet.act_frac[i]} "

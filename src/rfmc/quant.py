@@ -9,9 +9,13 @@ output layer never requantizes: the classifier decision is the argmax of
 the raw integer accumulators (softmax, being monotone, cannot change an
 argmax).
 
+A format is n fractional bits of an int16 container: Q(15-n).n, with n
+in 0..15, so a value q stands for q / 2**n. Every format here, from
+calibration through the model file to the engine, is that one int n.
+
 The weight formats and the hidden activation formats are calibrated from
-data; the input format is not. Every network reads its int16 input as
-Q2.13 (``INPUT_FORMAT``), so a raw frame means the same to every model.
+data; the input format is not. Every network reads its int16 input in
+``INPUT_FORMAT``, 13 (Q2.13), so a raw frame means the same to every model.
 """
 
 from __future__ import annotations
@@ -46,49 +50,34 @@ CALIBRATION_PERCENTILE = 99.9
 LOGITS_SLICE = 256
 
 
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """Signed 16-bit format with ``frac_bits`` fractional bits."""
-
-    frac_bits: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.frac_bits <= 15:
-            raise ValueError("frac_bits must be in 0..15")
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.frac_bits
-
-
 # The one meaning of an int16 input sample, for every model of either kind:
 # Q2.13 covers +-4, about four sigma of a unit-power frame at 0 dB SNR.
-INPUT_FORMAT = FixedPointFormat(13)
+INPUT_FORMAT = 13
 
 
-def quantize_array(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """x * 2**frac, rounded and saturated to int16 by ``kernels.round_saturate``."""
+def quantize_array(x: np.ndarray, frac_bits: int) -> np.ndarray:
+    """x * 2**frac_bits, rounded and saturated to int16 by ``kernels.round_saturate``."""
     x = np.array(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
-    x *= fmt.scale
+    x *= 1 << frac_bits
     return kernels.round_saturate(x, INT16_MIN, INT16_MAX).astype(np.int16)
 
 
-def dequantize_array(q: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Exact: q / 2**frac, as float64."""
-    return np.asarray(q, dtype=np.float64) / fmt.scale
+def dequantize_array(q: np.ndarray, frac_bits: int) -> np.ndarray:
+    """Exact: q / 2**frac_bits, as float64."""
+    return np.asarray(q, dtype=np.float64) / (1 << frac_bits)
 
 
-def fmt_for_magnitude(peak: float) -> FixedPointFormat:
-    """Largest frac_bits whose range +-2**(15-frac) covers ``peak``: 15 minus the
-    smallest k >= 0 with 2**k >= peak, exactly by ``math.frexp``. Raises
-    ``ValueError`` for a non-finite peak."""
+def fmt_for_magnitude(peak: float) -> int:
+    """The format covering ``peak``: the largest n whose range +-2**(15-n)
+    covers it, that is 15 minus the smallest k >= 0 with 2**k >= peak,
+    exactly by ``math.frexp``. Raises ``ValueError`` for a non-finite peak."""
     if not math.isfinite(peak):
         raise ValueError(f"cannot choose a fixed-point format for the peak {peak}")
     mantissa, exponent = math.frexp(max(peak, 0.0))
     int_bits = max(0, exponent - (mantissa == 0.5))
-    return FixedPointFormat(max(0, 15 - int_bits))
+    return max(0, 15 - int_bits)
 
 
 def choose_formats(
@@ -110,14 +99,14 @@ def choose_formats(
 
     def covering(values: np.ndarray) -> int:
         peak = float(np.percentile(np.abs(values), CALIBRATION_PERCENTILE))
-        return fmt_for_magnitude(peak).frac_bits
+        return fmt_for_magnitude(peak)
 
     hidden = [
         activations(params, np.asarray(cal[i : i + LOGITS_SLICE], dtype=np.float64))[1:-1]
         for i in range(0, len(cal), LOGITS_SLICE)
     ]
     weight_frac = [covering(w) for w in params.weights]
-    act_frac = [INPUT_FORMAT.frac_bits] + [covering(np.concatenate(h)) for h in zip(*hidden)]
+    act_frac = [INPUT_FORMAT] + [covering(np.concatenate(h)) for h in zip(*hidden)]
     return weight_frac, act_frac
 
 
@@ -127,8 +116,8 @@ class QuantizedNetwork:
 
     ``biases[i]`` is stored pre-aligned at the layer's accumulator
     position ``weight_frac[i] + act_frac[i]`` (int32 range, int64 dtype
-    so it feeds the kernels directly). ``act_frac[0]`` must be
-    ``INPUT_FORMAT``'s 13.
+    so it feeds the kernels directly). Every format is in 0..15,
+    and ``act_frac[0]`` must be ``INPUT_FORMAT``, 13.
 
     Construction validates the network, converts the weights to float64
     once for the kernel engine (``weights_f64``) and raises ``ValueError``
@@ -170,9 +159,9 @@ class QuantizedNetwork:
                 raise ValueError("bias length must match weight rows")
             if np.any(b < INT32_MIN) or np.any(b > INT32_MAX):
                 raise ValueError("aligned biases must fit in int32")
-        for f in (*self.weight_frac, *self.act_frac):
-            FixedPointFormat(f)
-        if self.act_frac[:1] != [INPUT_FORMAT.frac_bits]:
+        if not all(0 <= f <= 15 for f in (*self.weight_frac, *self.act_frac)):
+            raise ValueError("frac_bits must be in 0..15")
+        if self.act_frac[:1] != [INPUT_FORMAT]:
             raise ValueError(f"the input format must be Q2.13, got act_frac {self.act_frac[:1]}")
 
 
@@ -190,7 +179,7 @@ def quantize_network(params: NetworkParams, calibration: np.ndarray) -> Quantize
     params.validate()
     weight_frac, act_frac = choose_formats(params, calibration)
     weights = [
-        np.ascontiguousarray(quantize_array(w, FixedPointFormat(wf)))
+        np.ascontiguousarray(quantize_array(w, wf))
         for w, wf in zip(params.weights, weight_frac)
     ]
     biases = [
@@ -200,7 +189,7 @@ def quantize_network(params: NetworkParams, calibration: np.ndarray) -> Quantize
     return QuantizedNetwork(weights, biases, weight_frac, act_frac)
 
 
-def quantize_frame(frame: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+def quantize_frame(frame: np.ndarray, frac_bits: int) -> np.ndarray:
     """Quantize a 1800-real frame (or any flat frame) to int16.
 
     No program path calls it (they quantize batches with
@@ -209,7 +198,7 @@ def quantize_frame(frame: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     frame = np.asarray(frame)
     if frame.ndim != 1:
         raise ValueError("frame must be a flat vector")
-    return quantize_array(frame, fmt)
+    return quantize_array(frame, frac_bits)
 
 
 def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray:
@@ -240,13 +229,9 @@ def quantized_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray
 def quantized_forward(qnet: QuantizedNetwork, frame_q: np.ndarray) -> tuple[np.ndarray, int]:
     """Integer forward pass of one frame: (int logits, label).
 
-    The one-row case of ``quantized_logits``; ``frame_q`` must be int16
-    of shape ``(n_in,)``. No program path calls it; it stays because the
-    benchmark traces it and checks its logits against an int64 oracle.
+    The one-row case of ``quantized_logits``, which rejects a ``frame_q``
+    not int16 of shape ``(n_in,)``. No program path calls it; it stays
+    because the benchmark traces it and checks its logits against an oracle.
     """
-    frame_q = np.asarray(frame_q)
-    n_in = qnet.weights[0].shape[1]
-    if frame_q.shape != (n_in,):
-        raise ValueError(f"frame_q must have shape ({n_in},), got {frame_q.shape}")
-    logits = quantized_logits(qnet, frame_q[np.newaxis])[0]
+    logits = quantized_logits(qnet, np.asarray(frame_q)[np.newaxis])[0]
     return logits, int(np.argmax(logits))

@@ -14,14 +14,13 @@ import numpy as np
 from rfmc import nn
 from rfmc.kernels import INT16_MAX, INT16_MIN
 from rfmc.nn import NetworkParams
-from rfmc.quant import FixedPointFormat
 
 
-def quantize_value(x: float, fmt: FixedPointFormat) -> int:
-    """round(x * 2**frac) half away from zero, saturated to int16."""
+def quantize_value(x: float, frac_bits: int) -> int:
+    """round(x * 2**frac_bits) half away from zero, saturated to int16."""
     if not math.isfinite(x):
         raise ValueError("cannot quantize a non-finite value")
-    scaled = math.floor(abs(x) * fmt.scale + 0.5)
+    scaled = math.floor(abs(x) * (1 << frac_bits) + 0.5)
     q = scaled if x >= 0 else -scaled
     return max(INT16_MIN, min(INT16_MAX, q))
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import model_oracle
-from test_fileio import with_input_frac
+from test_fileio import with_frac, with_input_frac
 from test_model import SPLITS, pieces
 from rfmc import cli, data, fileio, model, nn, quant, stream
 from rfmc.model import FRAME_BYTES
@@ -924,6 +924,16 @@ class TestExitCodes:
         assert code == 1
         assert stdout == ""
         assert err.startswith("error:") and "Q2.13" in err
+
+    @pytest.mark.parametrize("layer, byte", [(0, 0), (1, 1)],
+                             ids=["weight_frac", "hidden_act_frac"])
+    def test_model_with_an_out_of_range_format_exits_1(self, workspace, tmp_path, capsys,
+                                                       layer, byte):
+        bad = tmp_path / "q16.rfmc"
+        bad.write_bytes(with_frac(workspace["qmodel"].read_bytes(), 16, layer, byte))
+        raw = TestClassify.make_raw_file(tmp_path, 2)
+        code, stdout, err = run_cli(capsys, "classify", "--model", str(bad), "--raw", str(raw))
+        assert (code, stdout, err) == (1, "", "error: frac_bits must be in 0..15\n")
 
     def test_hostile_model_header_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "hostile.rfmc"

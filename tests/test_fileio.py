@@ -17,14 +17,22 @@ def model_header(dims, kind=fileio.KIND_FLOAT):
     return blob + b"".join(struct.pack("<II", o, i) for o, i in dims)
 
 
-def with_input_frac(blob: bytes, frac: int) -> bytes:
-    """A quantized model file with layer 0's act_frac byte set to ``frac``,
-    its bias-shift byte and the body CRC32 made consistent again."""
+def with_frac(blob: bytes, frac: int, layer: int, byte: int) -> bytes:
+    """A quantized model file with one format byte of layer ``layer`` set to
+    ``frac`` (``byte`` 0 is weight_frac, 1 is act_frac), its bias-shift
+    byte and the body CRC32 made consistent again."""
     n_layers = blob[7]
+    dims = list(struct.iter_unpack("<II", blob[8 : 8 + 8 * n_layers]))
     body = bytearray(blob[8 + 8 * n_layers : -4])
-    body[1] = frac
-    body[2] = body[0] + frac
+    at = sum(3 + 2 * o * i + 4 * o for o, i in dims[:layer])  # the earlier layers' bytes
+    body[at + byte] = frac
+    body[at + 2] = body[at] + body[at + 1]
     return blob[: 8 + 8 * n_layers] + bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def with_input_frac(blob: bytes, frac: int) -> bytes:
+    """A quantized model file with layer 0's act_frac byte set to ``frac``."""
+    return with_frac(blob, frac, layer=0, byte=1)
 
 
 def test_second_input_format_rejected(tmp_path):
@@ -41,6 +49,19 @@ def test_second_input_format_rejected(tmp_path):
     assert fileio.load_model(path).act_frac == [13, 11]
     path.write_bytes(with_input_frac(blob, 14))
     with pytest.raises(ValueError, match="Q2.13"):
+        fileio.load_model(path)
+
+
+@pytest.mark.parametrize("layer, byte", [(0, 0), (1, 1)], ids=["weight_frac", "hidden_act_frac"])
+def test_format_byte_out_of_range_rejected(tmp_path, layer, byte):
+    path = tmp_path / "q.rfmc"
+    fileio.save_quantized_model(path, tiny_qnet())
+    blob = path.read_bytes()
+    path.write_bytes(with_frac(blob, 15, layer, byte))
+    qnet = fileio.load_model(path)
+    assert (qnet.weight_frac, qnet.act_frac)[byte][layer] == 15
+    path.write_bytes(with_frac(blob, 16, layer, byte))
+    with pytest.raises(ValueError, match=r"^frac_bits must be in 0\.\.15$"):
         fileio.load_model(path)
 
 

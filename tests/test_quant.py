@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 from model_oracle import quantize_value
 from rfmc import data, model, nn, quant
 from rfmc.kernels import ACC_LIMIT, INT16_MAX, INT16_MIN
-from rfmc.quant import INPUT_FORMAT, FixedPointFormat, QuantizedNetwork
+from rfmc.quant import INPUT_FORMAT, QuantizedNetwork
 
 FORMATS = st.integers(min_value=0, max_value=15)
 
 
-def min_value(fmt: FixedPointFormat) -> float:
-    """The most negative value ``fmt`` holds: int16 -32768 scaled."""
-    return -(2.0 ** (15 - fmt.frac_bits))
+def min_value(frac: int) -> float:
+    """The most negative value format ``frac`` holds: int16 -32768 scaled."""
+    return -(2.0 ** (15 - frac))
 
 
-def max_value(fmt: FixedPointFormat) -> float:
-    """The largest value ``fmt`` holds: int16 32767 scaled."""
-    return (2.0**15 - 1) / fmt.scale
+def max_value(frac: int) -> float:
+    """The largest value format ``frac`` holds: int16 32767 scaled."""
+    return (2.0**15 - 1) / (1 << frac)
 
 
 def hand_toy_qnet() -> QuantizedNetwork:
@@ -79,73 +79,69 @@ class TestQuantizeValue:
     """The scalar quantizer that ``quantize_array`` is checked against."""
 
     def test_zero(self):
-        assert quantize_value(0.0, FixedPointFormat(7)) == 0
+        assert quantize_value(0.0, 7) == 0
 
     def test_unit_at_q14(self):
-        assert quantize_value(1.0, FixedPointFormat(14)) == 16384
+        assert quantize_value(1.0, 14) == 16384
 
     def test_saturates_high(self):
-        assert quantize_value(10.0, FixedPointFormat(14)) == 32767
+        assert quantize_value(10.0, 14) == 32767
 
     def test_saturates_low(self):
-        assert quantize_value(-10.0, FixedPointFormat(14)) == -32768
+        assert quantize_value(-10.0, 14) == -32768
 
     def test_half_away_from_zero(self):
-        fmt = FixedPointFormat(1)
-        assert quantize_value(0.25, fmt) == 1    # 0.5 scaled -> away
-        assert quantize_value(-0.25, fmt) == -1
+        assert quantize_value(0.25, 1) == 1    # 0.5 scaled -> away
+        assert quantize_value(-0.25, 1) == -1
         # the kernel behind quantize_array rounds the same ties
-        assert quant.quantize_array(np.array([0.25, -0.25, 0.75, -1.25]), fmt).tolist() == [
+        assert quant.quantize_array(np.array([0.25, -0.25, 0.75, -1.25]), 1).tolist() == [
             1, -1, 2, -3]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            quantize_value(float("nan"), FixedPointFormat(3))
+            quantize_value(float("nan"), 3)
 
     @given(frac=FORMATS, x=st.floats(-10.0, 10.0, allow_nan=False))
     @settings(max_examples=300, deadline=None)
     def test_monotonic(self, frac, x):
-        fmt = FixedPointFormat(frac)
         eps = 2.0 ** (-frac) / 3
-        assert quantize_value(x, fmt) <= quantize_value(x + eps, fmt)
+        assert quantize_value(x, frac) <= quantize_value(x + eps, frac)
 
 
 class TestDequantizeValue:
     def test_unit(self):
-        assert quant.dequantize_array(16384, FixedPointFormat(14)) == 1.0
+        assert quant.dequantize_array(16384, 14) == 1.0
 
     def test_range_edge(self):
-        assert quant.dequantize_array(-32768, FixedPointFormat(14)) == -2.0
+        assert quant.dequantize_array(-32768, 14) == -2.0
 
     @given(frac=FORMATS, data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_round_trip_bound_in_range(self, frac, data):
-        fmt = FixedPointFormat(frac)
-        x = data.draw(st.floats(min_value(fmt), max_value(fmt), allow_nan=False))
-        back = quant.dequantize_array(quant.quantize_array(x, fmt), fmt)
+        x = data.draw(st.floats(min_value(frac), max_value(frac), allow_nan=False))
+        back = quant.dequantize_array(quant.quantize_array(x, frac), frac)
         assert abs(x - back) <= 2.0 ** (-frac - 1)
 
     def test_saturation_edges_exact(self):
         for frac in range(16):
-            fmt = FixedPointFormat(frac)
-            assert quantize_value(max_value(fmt), fmt) == 32767
-            assert quantize_value(min_value(fmt), fmt) == -32768
-            assert quant.dequantize_array(-32768, fmt) == min_value(fmt)
-            assert quant.dequantize_array(32767, fmt) == max_value(fmt)
+            assert quantize_value(max_value(frac), frac) == 32767
+            assert quantize_value(min_value(frac), frac) == -32768
+            assert quant.dequantize_array(-32768, frac) == min_value(frac)
+            assert quant.dequantize_array(32767, frac) == max_value(frac)
 
 
 class TestChooseFormats:
     def test_weights_within_unit_get_full_fraction(self):
-        assert quant.fmt_for_magnitude(0.999).frac_bits == 15
+        assert quant.fmt_for_magnitude(0.999) == 15
 
     def test_activation_example(self):
         # max |activation| 3.2 needs range +-4 -> 13 fractional bits
-        assert quant.fmt_for_magnitude(3.2).frac_bits == 13
+        assert quant.fmt_for_magnitude(3.2) == 13
 
     def test_power_of_two_boundaries(self):
-        assert quant.fmt_for_magnitude(1.0).frac_bits == 15
-        assert quant.fmt_for_magnitude(2.0).frac_bits == 14
-        assert quant.fmt_for_magnitude(4.0).frac_bits == 13
+        assert quant.fmt_for_magnitude(1.0) == 15
+        assert quant.fmt_for_magnitude(2.0) == 14
+        assert quant.fmt_for_magnitude(4.0) == 13
 
     def test_powers_of_two_and_neighbours_match_brute_force(self):
         def brute_force(peak):
@@ -157,7 +153,7 @@ class TestChooseFormats:
             p = 2.0**k
             peaks += [np.nextafter(p, 0), p, np.nextafter(p, np.inf)]
         for peak in peaks:
-            assert quant.fmt_for_magnitude(float(peak)).frac_bits == brute_force(peak), peak
+            assert quant.fmt_for_magnitude(float(peak)) == brute_force(peak), peak
 
     @pytest.mark.parametrize("peak", [math.inf, -math.inf, math.nan])
     def test_non_finite_peak_rejected(self, peak):
@@ -184,13 +180,13 @@ class TestChooseFormats:
 
         def covering(values):
             peak = np.percentile(np.abs(values), quant.CALIBRATION_PERCENTILE)
-            return quant.fmt_for_magnitude(float(peak)).frac_bits
+            return quant.fmt_for_magnitude(float(peak))
 
         # oracle: one unsliced float64 pass over every frame
         unsliced = [covering(h) for h in nn.activations(params, cal.astype(np.float64))[1:-1]]
         monkeypatch.setattr(quant, "LOGITS_SLICE", 7)  # 50 frames: 7 slices of 7, then 1
         _, act_frac = quant.choose_formats(params, cal)
-        assert act_frac == [INPUT_FORMAT.frac_bits] + unsliced
+        assert act_frac == [INPUT_FORMAT] + unsliced
         # the frames are spread so that one slice alone calibrates differently
         assert quant.choose_formats(params, cal[:7])[1] != act_frac
 
@@ -233,9 +229,8 @@ class TestQuantizeNetwork:
         cal = np.random.default_rng(0).standard_normal((64, 16))
         qnet = quant.quantize_network(params, cal)
         for w_float, w_q, frac in zip(params.weights, qnet.weights, qnet.weight_frac):
-            fmt = FixedPointFormat(frac)
-            in_range = (w_float >= min_value(fmt)) & (w_float <= max_value(fmt))
-            err = np.abs(quant.dequantize_array(w_q, fmt) - w_float)
+            in_range = (w_float >= min_value(frac)) & (w_float <= max_value(frac))
+            err = np.abs(quant.dequantize_array(w_q, frac) - w_float)
             assert np.all(err[in_range] <= 2.0 ** (-frac - 1) + 1e-15)
 
     def test_input_format_is_q2_13_where_calibration_would_widen_it(self):
@@ -245,15 +240,23 @@ class TestQuantizeNetwork:
             frames_per_class=10, snr_grid=(10.0, 12.0, 14.0, 16.0, 18.0), master_seed=3
         )).frames
         peak = float(np.percentile(np.abs(frames), quant.CALIBRATION_PERCENTILE))
-        assert quant.fmt_for_magnitude(peak).frac_bits == 14
+        assert quant.fmt_for_magnitude(peak) == 14
         qnet = quant.quantize_network(nn.init_params(nn.ARCH, seed=1), frames)
-        assert qnet.act_frac[0] == INPUT_FORMAT.frac_bits == 13
+        assert qnet.act_frac[0] == INPUT_FORMAT == 13
 
     @pytest.mark.parametrize("input_frac", [0, 12, 14, 15])
     def test_other_input_format_rejected(self, input_frac):
         toy = hand_toy_qnet()
         with pytest.raises(ValueError, match="Q2.13"):
             QuantizedNetwork(toy.weights, toy.biases, toy.weight_frac, [input_frac, 12])
+
+    @pytest.mark.parametrize("weight_frac, act_frac", [
+        ([16, 13], [13, 12]), ([-1, 13], [13, 12]), ([14, 13], [13, 16]), ([14, 13], [13, -1]),
+    ])
+    def test_format_outside_0_to_15_rejected(self, weight_frac, act_frac):
+        toy = hand_toy_qnet()
+        with pytest.raises(ValueError, match=r"^frac_bits must be in 0\.\.15$"):
+            QuantizedNetwork(toy.weights, toy.biases, weight_frac, act_frac)
 
 
 FLOAT64_MAX = float(np.finfo(np.float64).max)
@@ -295,16 +298,13 @@ class TestAlignBias:
 
 class TestQuantizeFrame:
     def test_zero_frame(self):
-        fmt = FixedPointFormat(14)
-        assert not quant.quantize_frame(np.zeros(1800), fmt).any()
+        assert not quant.quantize_frame(np.zeros(1800), 14).any()
 
     def test_unit_values(self):
-        fmt = FixedPointFormat(14)
-        assert np.all(quant.quantize_frame(np.ones(1800), fmt) == 16384)
+        assert np.all(quant.quantize_frame(np.ones(1800), 14) == 16384)
 
     def test_length_preserved(self):
-        fmt = FixedPointFormat(13)
-        out = quant.quantize_frame(np.linspace(-2, 2, 1800), fmt)
+        out = quant.quantize_frame(np.linspace(-2, 2, 1800), 13)
         assert out.shape == (1800,)
         assert out.dtype == np.int16
 
@@ -312,37 +312,35 @@ class TestQuantizeFrame:
 class TestQuantizeArray:
     def test_matches_scalar_oracle_on_every_format(self):
         for frac in range(16):
-            fmt = FixedPointFormat(frac)
-            halves = (np.arange(-9, 9) + 0.5) / fmt.scale
-            edges = np.array([max_value(fmt), min_value(fmt), 0.0, -0.0, 1e9, -1e9,
+            halves = (np.arange(-9, 9) + 0.5) / (1 << frac)
+            edges = np.array([max_value(frac), min_value(frac), 0.0, -0.0, 1e9, -1e9,
                               1e300, -1e300, 5e-324, -5e-324, 2.0**-frac / 2])
             values = np.concatenate([
                 halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
                 edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
                 np.random.default_rng(frac).standard_normal(200) * 2.0 ** (15 - frac),
             ])
-            got = quant.quantize_array(values, fmt)
+            got = quant.quantize_array(values, frac)
             assert got.dtype == np.int16
-            assert got.tolist() == [quantize_value(float(v), fmt) for v in values]
+            assert got.tolist() == [quantize_value(float(v), frac) for v in values]
 
     def test_shape_kept_and_input_untouched(self):
         x = np.random.default_rng(3).standard_normal((4, 5))
         before = x.copy()
-        q = quant.quantize_array(x, FixedPointFormat(12))
+        q = quant.quantize_array(x, 12)
         assert q.shape == (4, 5)
         assert np.array_equal(x, before)
 
     def test_float32_input_matches_oracle(self):
         x = np.random.default_rng(4).standard_normal(300).astype(np.float32)
-        fmt = FixedPointFormat(13)
-        assert quant.quantize_array(x, fmt).tolist() == [
-            quantize_value(float(v), fmt) for v in x
+        assert quant.quantize_array(x, 13).tolist() == [
+            quantize_value(float(v), 13) for v in x
         ]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            quant.quantize_array(np.array([[0.5, bad]]), FixedPointFormat(3))
+            quant.quantize_array(np.array([[0.5, bad]]), 3)
 
 
 class TestQuantizedForward:
@@ -428,6 +426,60 @@ class TestQuantizedForward:
         assert max(abs(a) for accs in layers for a in accs) < ACC_LIMIT
         logits, _ = quant.quantized_forward(qnet, frame_q)
         assert logits.tolist() == layers[-1]
+
+
+def int64_logits(qnet: QuantizedNetwork, frames_q: np.ndarray) -> np.ndarray:
+    """The datapath in numpy int64, layer by layer: products, sums, ReLU,
+    a right shift rounding half up (the ReLU'd values are >= 0) and int16
+    saturation. Exact, since every accumulator stays below 2**47."""
+    x = frames_q.astype(np.int64)
+    for i in range(qnet.n_layers):
+        acc = x @ qnet.weights[i].astype(np.int64).T + qnet.biases[i]
+        if i == qnet.n_layers - 1:
+            return acc
+        shift = qnet.requant_shift(i)
+        relu = np.maximum(acc, 0)
+        x = (relu + (1 << (shift - 1))) >> shift if shift > 0 else relu << -shift
+        x = np.clip(x, INT16_MIN, INT16_MAX)
+
+
+class TestEngineAtProgramBatchSizes:
+    """``quantized_logits`` on the trained 1800-100-20-7 network at the batch
+    sizes the program runs (``LOGITS_SLICE`` is 256), against ``int64_logits``."""
+
+    @pytest.fixture(scope="class")
+    def case(self, small_pipeline):
+        qnet = small_pipeline["qnet"]
+        assert [w.shape for w in qnet.weights] == [(100, 1800), (20, 100), (7, 20)]
+        rng = np.random.default_rng(12)
+        gains = np.geomspace(0.05, 8.0, 255)[:, None]  # up to far past Q2.13's +-4
+        frames_q = np.concatenate([
+            np.full((1, 1800), INT16_MIN, np.int16),
+            np.full((1, 1800), INT16_MAX, np.int16),
+            quant.quantize_array(rng.standard_normal((255, 1800)) * gains, INPUT_FORMAT),
+        ])
+        return qnet, frames_q, int64_logits(qnet, frames_q)
+
+    @pytest.mark.parametrize("batch", [1, 8, 64, 256, 257])
+    def test_every_frame_matches_the_int64_oracle(self, case, batch):
+        qnet, frames_q, expected = case
+        got = np.concatenate([quant.quantized_logits(qnet, frames_q[i : i + batch])
+                              for i in range(0, len(frames_q), batch)])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_input_order_leaves_every_logit_bit_identical(self, case, order):
+        # the kernels docstring: exact in any summation order
+        qnet, frames_q, expected = case
+        n_in = qnet.weights[0].shape[1]
+        perm = (np.arange(n_in)[::-1] if order == "reversed"
+                else np.random.default_rng(13).permutation(n_in))
+        permuted = QuantizedNetwork(
+            [np.ascontiguousarray(qnet.weights[0][:, perm]), *qnet.weights[1:]],
+            qnet.biases, qnet.weight_frac, qnet.act_frac,
+        )
+        assert np.array_equal(quant.quantized_logits(permuted, frames_q[:, perm]), expected)
 
 
 class TestAccumulatorBound:
