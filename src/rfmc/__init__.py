@@ -1,8 +1,8 @@
 """RF modulation classifier: synthesis, training, and 16-bit inference."""
 
-from .channel import CLEAN, DEFAULT_SNR_GRID
+from .channel import DEFAULT_SNR_GRID
 from .data import Dataset, DatasetSpec, build_dataset, load_dataset, save_dataset, split
-from .nn import ARCH, NetworkParams, TrainConfig, train
+from .nn import ARCH, NetworkParams, train
 from .quant import QuantizedNetwork, quantize_network, quantized_logits
 from .sigsynth import FRAME_LEN, FRAME_SAMPLES, LABEL_NAMES, ModulationLabel
 
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARCH",
-    "CLEAN",
     "DEFAULT_SNR_GRID",
     "Dataset",
     "DatasetSpec",
@@ -20,7 +19,6 @@ __all__ = [
     "ModulationLabel",
     "NetworkParams",
     "QuantizedNetwork",
-    "TrainConfig",
     "build_dataset",
     "load_dataset",
     "quantize_network",

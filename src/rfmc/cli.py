@@ -24,8 +24,7 @@ import numpy as np
 
 from . import bench, data, evaluation, fileio, model, nn, quant
 from .fileio import ContainerError
-from .nn import TrainConfig
-from .sigsynth import LABEL_NAMES, label_name
+from .sigsynth import FRAME_LEN, LABEL_NAMES, NUM_CLASSES, label_name
 from .stream import StreamServer
 
 EXIT_OK = 0
@@ -96,9 +95,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(args.dataset)
     train_ds, val_ds = data.split(dataset, TRAIN_FRACTION, seed=args.seed)
-    config = TrainConfig(epochs=args.epochs, seed=args.seed)
     t0 = time.time()
-    params, history = nn.train(train_ds.frames, train_ds.labels, config)
+    params, history = nn.train(train_ds.frames, train_ds.labels, args.epochs, args.seed)
     elapsed = time.time() - t0
     fileio.save_float_model(args.out, params)
     print(f"trained {len(train_ds)} frames, {args.epochs} epochs in {elapsed:.1f}s")
@@ -110,8 +108,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_classifier(load, path: str):
+    """``load(path)``, checked to map ``FRAME_LEN`` inputs to ``NUM_CLASSES`` outputs."""
+    net = load(path)
+    n_in, n_out = net.weights[0].shape[1], net.weights[-1].shape[0]
+    if (n_in, n_out) != (FRAME_LEN, NUM_CLASSES):
+        raise ValueError(f"{path}: network has {n_in} inputs and {n_out} outputs, "
+                         f"expected {FRAME_LEN} and {NUM_CLASSES}")
+    return net
+
+
 def cmd_quantize(args: argparse.Namespace) -> int:
-    params = fileio.load_float_model(args.model)
+    params = _load_classifier(fileio.load_float_model, args.model)
     calibration = data.load_dataset(args.dataset)
     qnet = quant.quantize_network(params, calibration.frames)
     fileio.save_quantized_model(args.out, qnet)
@@ -131,12 +139,12 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = data.load_dataset(args.dataset)
-    net = fileio.load_model(args.model)
+    net = _load_classifier(fileio.load_model, args.model)
 
     if args.compare is not None:
         if model.path(net) != "float":
             raise UsageError("--compare needs a float --model")
-        qnet = fileio.load_quantized_model(args.compare)
+        qnet = _load_classifier(fileio.load_quantized_model, args.compare)
         float_report = evaluation.evaluate(_labeler(net), dataset)
         quant_report = evaluation.evaluate(_labeler(qnet), dataset)
         print("# float path")
@@ -164,7 +172,7 @@ def _labeler(net):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    net = fileio.load_model(args.model)
+    net = _load_classifier(fileio.load_model, args.model)
     frames_q = quant.quantize_array(bench.gaussian_frames(max(args.frames, 0)), quant.INPUT_FORMAT)
 
     def classifier(frame_q):
@@ -197,7 +205,7 @@ def _print_labels(net, logits: np.ndarray, start: int = 0) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     if (args.dataset is None) == (args.raw is None):
         raise UsageError("give exactly one of --dataset or --raw")
-    net = fileio.load_model(args.model)
+    net = _load_classifier(fileio.load_model, args.model)
     if args.dataset is not None:
         _print_labels(net, model.logits(net, data.load_dataset(args.dataset).frames))
         return EXIT_OK
@@ -245,7 +253,7 @@ def _classify_raw(net, source) -> tuple[int, int]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    net = fileio.load_model(args.model)
+    net = _load_classifier(fileio.load_model, args.model)
     server = StreamServer(net, host=args.host, port=args.port)
     server.start()
     host, port = server.address
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the float network on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--epochs", type=int, default=nn.EPOCHS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

@@ -10,8 +10,9 @@ through ``rfmc.model``), training (``_forward_backward``, then the in-place
 it. ``forward`` and ``adam_step`` are one-frame and copying forms that stay
 only because the benchmark traces them.
 
-``train`` has one recipe, Adam at ``LEARNING_RATE`` then decoupled weight
-decay ``WEIGHT_DECAY``; ``TrainConfig`` sets the batch size, epochs and seed.
+``train`` has one recipe: batches of ``BATCH_SIZE``, each an Adam step at
+``LEARNING_RATE`` then decoupled weight decay ``WEIGHT_DECAY``. Callers set
+only the epochs (``EPOCHS`` by default) and the seed.
 
 ``train`` runs in float32: frames, parameters, gradients and Adam state.
 The deployed datapath is 16-bit fixed point, so float64 training carries
@@ -45,18 +46,8 @@ LEARNING_RATE = 1e-3
 # raw I/Q training frames instead of learning statistics.
 WEIGHT_DECAY = 1.0
 
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 64
-    epochs: int = 30
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+BATCH_SIZE = 64
+EPOCHS = 30
 
 
 @dataclass
@@ -267,14 +258,15 @@ def adam_step(
 def train(
     frames: np.ndarray,
     labels: np.ndarray,
-    config: TrainConfig | None = None,
+    epochs: int = EPOCHS,
+    seed: int = 0,
     layer_dims: tuple[int, ...] = ARCH,
 ) -> tuple[NetworkParams, list[float]]:
     """Train from a fresh seeded init; returns (params, per-epoch mean loss).
 
-    Requires every output class to be present in ``labels``. Batches are
-    reshuffled each epoch from the config seed, so the whole run is a pure
-    function of (frames, labels, config). Each batch takes one
+    Requires ``epochs >= 0`` and every output class in ``labels``. Batches
+    of ``BATCH_SIZE`` are reshuffled each epoch from ``seed``, so the run is
+    a pure function of (frames, labels, epochs, seed). Each batch takes one
     ``adam_update`` at ``LEARNING_RATE``, then the weights decay by
     ``LEARNING_RATE * WEIGHT_DECAY``.
 
@@ -283,8 +275,8 @@ def train(
     weight decay are float32. The returned parameters are float64
     widenings of the float32 ones, so they hold exactly what was trained.
     """
-    config = config or TrainConfig()
-    config.validate()
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     x = np.asarray(frames, dtype=np.float32)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -296,7 +288,7 @@ def train(
     if missing:
         raise ValueError(f"dataset is missing classes: {missing}")
 
-    init_seed, shuffle_seed = split_seed(config.seed, 2)
+    init_seed, shuffle_seed = split_seed(seed, 2)
     params = init_params(layer_dims, seed=init_seed).astype(np.float32)
     state = AdamState.zeros(params)
     shuffle_rng = rng_from_seed(shuffle_seed)
@@ -304,12 +296,12 @@ def train(
     n = x.shape[0]
     decay = np.float32(1.0 - LEARNING_RATE * WEIGHT_DECAY)
     history: list[float] = []
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             grads, loss = _forward_backward(params, x[idx], y[idx])
             adam_update(params, grads, state)
             for w in params.weights:

@@ -116,8 +116,8 @@ class QuantizedNetwork:
 
     ``biases[i]`` is stored pre-aligned at the layer's accumulator
     position ``weight_frac[i] + act_frac[i]`` (int32 range, int64 dtype
-    so it feeds the kernels directly). Every format is in 0..15,
-    and ``act_frac[0]`` must be ``INPUT_FORMAT``, 13.
+    so it feeds the kernels directly). Every format is an integer in
+    0..15, and ``act_frac[0]`` must be ``INPUT_FORMAT``, 13.
 
     Construction validates the network, converts the weights to float64
     once for the kernel engine (``weights_f64``) and raises ``ValueError``
@@ -159,8 +159,11 @@ class QuantizedNetwork:
                 raise ValueError("bias length must match weight rows")
             if np.any(b < INT32_MIN) or np.any(b > INT32_MAX):
                 raise ValueError("aligned biases must fit in int32")
-        if not all(0 <= f <= 15 for f in (*self.weight_frac, *self.act_frac)):
-            raise ValueError("frac_bits must be in 0..15")
+        for f in (*self.weight_frac, *self.act_frac):
+            if not isinstance(f, (int, np.integer)):
+                raise ValueError(f"frac_bits must be integers, got {f}")
+            if not 0 <= f <= 15:
+                raise ValueError("frac_bits must be in 0..15")
         if self.act_frac[:1] != [INPUT_FORMAT]:
             raise ValueError(f"the input format must be Q2.13, got act_frac {self.act_frac[:1]}")
 

@@ -21,14 +21,12 @@ def small_pipeline():
     )
     dataset = data.build_dataset(spec)
     train_ds, test_ds = data.split(dataset, 0.8, seed=1)
-    config = nn.TrainConfig(epochs=8, seed=3)
-    params, history = nn.train(train_ds.frames, train_ds.labels, config)
+    params, history = nn.train(train_ds.frames, train_ds.labels, epochs=8, seed=3)
     qnet = quant.quantize_network(params, train_ds.frames)
     return {
         "dataset": dataset,
         "train": train_ds,
         "test": test_ds,
-        "config": config,
         "params": params,
         "history": history,
         "qnet": qnet,

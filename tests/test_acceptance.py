@@ -2,7 +2,7 @@
 
 The steps of ``rfmc gen-data``, ``train``, ``quantize`` and ``eval
 --compare`` at the default spec: 2000 frames per class from seed 0, a
-``cli.TRAIN_FRACTION`` split and ``TrainConfig()`` (30 epochs, seed 0),
+``cli.TRAIN_FRACTION`` split, ``nn.EPOCHS`` (30) epochs from seed 0,
 quantization calibrated on the whole training dataset, and a score on 500
 held-out frames per class from seed 1. Measured on x86-64 (numpy with
 OpenBLAS): 93.26% overall, 87.33% at 0 dB, and quantized labels equal to
@@ -28,7 +28,7 @@ MAX_LABEL_DISAGREEMENT = 0.005
 def scored():
     dataset = data.build_dataset(data.DatasetSpec(frames_per_class=2000, master_seed=0))
     train_ds, _ = data.split(dataset, cli.TRAIN_FRACTION, seed=0)
-    params, _ = nn.train(train_ds.frames, train_ds.labels, nn.TrainConfig())
+    params, _ = nn.train(train_ds.frames, train_ds.labels, epochs=nn.EPOCHS, seed=0)
     del train_ds
     qnet = quant.quantize_network(params, dataset.frames)
     del dataset

@@ -1,4 +1,4 @@
-"""Tests for the AWGN channel: SNR calibration and the clean sentinel."""
+"""Tests for the AWGN channel: SNR calibration and finite-SNR checks."""
 
 import numpy as np
 import pytest
@@ -23,10 +23,6 @@ def measured_noise_power(frame, snr_db, n_frames):
 
 
 class TestApplyAwgn:
-    def test_clean_returns_input_unchanged(self, unit_frame):
-        out = channel.apply_awgn(unit_frame, channel.CLEAN, seed=9)
-        assert out is unit_frame
-
     def test_noise_power_at_0db(self, unit_frame):
         power = measured_noise_power(unit_frame, 0.0, 10**4)
         assert power == pytest.approx(1.0, abs=0.02)
@@ -46,10 +42,9 @@ class TestApplyAwgn:
         assert not np.array_equal(a, b)
 
     def test_non_finite_snr_rejected(self, unit_frame):
-        with pytest.raises(ValueError):
-            channel.apply_awgn(unit_frame, float("nan"), seed=0)
-        with pytest.raises(ValueError):
-            channel.apply_awgn(unit_frame, float("inf"), seed=0)
+        for snr in (None, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr}$"):
+                channel.apply_awgn(unit_frame, snr, seed=0)
 
     def test_shape_preserved(self, unit_frame):
         assert channel.apply_awgn(unit_frame, 3.0, seed=0).shape == unit_frame.shape
@@ -68,3 +63,9 @@ class TestApplyAwgnBatch:
     def test_lengths_must_agree(self, unit_frame):
         with pytest.raises(ValueError):
             channel.apply_awgn_batch(unit_frame[np.newaxis], [1.0, 2.0], [frame_seed(0, 1, 0, 1)])
+
+    def test_bad_entry_is_named_alone(self, unit_frame):
+        frames = np.stack([unit_frame] * 3)
+        rngs = [frame_seed(0, 1, i, 1) for i in range(3)]
+        with pytest.raises(ValueError, match=r"snr_db must be finite, got None$"):
+            channel.apply_awgn_batch(frames, [3.0, None, 6.0], rngs)

@@ -155,6 +155,13 @@ class TestTrain:
         assert code == 1
         assert "error" in err
 
+    def test_negative_epochs_exits_1(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.rfmc"
+        code, stdout, err = run_cli(capsys, "train", "--dataset", str(workspace["ds"]),
+                                    "--out", str(out), "--epochs", "-1")
+        assert (code, stdout, err) == (1, "", "error: epochs must be >= 0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--lr", "--batch", "--weight-decay", "--train-fraction"])
     def test_removed_flags_exit_2(self, workspace, tmp_path, capsys, flag):
         out = tmp_path / "m.rfmc"
@@ -934,6 +941,56 @@ class TestExitCodes:
         raw = TestClassify.make_raw_file(tmp_path, 2)
         code, stdout, err = run_cli(capsys, "classify", "--model", str(bad), "--raw", str(raw))
         assert (code, stdout, err) == (1, "", "error: frac_bits must be in 0..15\n")
+
+    @pytest.fixture(scope="class")
+    def wrong_shape(self, tmp_path_factory):
+        """CRC-valid 1800-10-8 models of both kinds whose output 7 wins on every frame."""
+        root = tmp_path_factory.mktemp("wrong_shape")
+        params = nn.init_params((1800, 10, 8), seed=3)
+        params.weights[-1][:] = 0.0
+        params.biases[-1][7] = 1.0
+        frames = np.random.default_rng(3).standard_normal((16, 1800))
+        paths = {"model": root / "float.rfmc", "qmodel": root / "quant.rfmc"}
+        fileio.save_float_model(paths["model"], params)
+        fileio.save_quantized_model(paths["qmodel"], quant.quantize_network(params, frames))
+        frames_q = quant.quantize_array(frames, INPUT_FORMAT)
+        for path in paths.values():
+            assert set(np.argmax(model.raw_logits(fileio.load_model(path), frames_q), axis=1)) == {7}
+        return paths
+
+    @staticmethod
+    def wrong_shape_error(path):
+        return f"error: {path}: network has 1800 inputs and 8 outputs, expected 1800 and 7\n"
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    @pytest.mark.parametrize("command", ["classify", "eval", "bench", "serve"])
+    def test_model_of_the_wrong_shape_exits_1(self, workspace, wrong_shape, tmp_path, capsys,
+                                              monkeypatch, command, kind):
+        def no_server(*args, **kwargs):
+            raise AssertionError("a server was made")
+
+        monkeypatch.setattr(cli, "StreamServer", no_server)
+        bad = str(wrong_shape[kind])
+        argv = {
+            "classify": ["--raw", str(TestClassify.make_raw_file(tmp_path, 3))],
+            "eval": ["--dataset", str(workspace["ds"])],
+            "bench": ["--frames", "2", "--warmup", "0"],
+            "serve": ["--port", "0"],
+        }[command]
+        code, stdout, err = run_cli(capsys, command, "--model", bad, *argv)
+        assert (code, stdout, err) == (1, "", self.wrong_shape_error(bad))
+
+    def test_quantize_and_compare_reject_the_wrong_shape(self, workspace, wrong_shape, tmp_path,
+                                                         capsys):
+        out = tmp_path / "q.rfmc"
+        code, stdout, err = run_cli(capsys, "quantize", "--model", str(wrong_shape["model"]),
+                                    "--dataset", str(workspace["ds"]), "--out", str(out))
+        assert (code, stdout, err) == (1, "", self.wrong_shape_error(wrong_shape["model"]))
+        assert not out.exists()
+        code, stdout, err = run_cli(capsys, "eval", "--model", str(workspace["model"]),
+                                    "--dataset", str(workspace["ds"]),
+                                    "--compare", str(wrong_shape["qmodel"]))
+        assert (code, stdout, err) == (1, "", self.wrong_shape_error(wrong_shape["qmodel"]))
 
     def test_hostile_model_header_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "hostile.rfmc"

@@ -7,11 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
-from rfmc import data, sigsynth
-from rfmc.channel import CLEAN
+from rfmc import data
 from rfmc.fileio import ChecksumError, FileFormatError, TruncatedFileError
-from rfmc.seeding import frame_seed
-from rfmc.sigsynth import FRAME_LEN, ModulationLabel
+from rfmc.sigsynth import FRAME_LEN
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +70,10 @@ class TestBuildDataset:
                 assert np.array_equal(getattr(small, field)[small.labels == cls], head,
                                       equal_nan=True)
 
-    def test_clean_grid_entries_add_no_noise(self):
-        mixed = data.build_dataset(data.DatasetSpec(4, (CLEAN, 10.0), master_seed=99))
-        noisy = data.build_dataset(data.DatasetSpec(4, (10.0,), master_seed=99))
-        for cls in range(1, 7):
-            rows = mixed.labels == cls
-            clean = sigsynth.modulate_batch(
-                ModulationLabel(cls), [frame_seed(99, cls, idx, 0) for idx in (0, 2)]
-            )
-            assert np.array_equal(mixed.frames[rows][0::2], clean.astype(np.float32))
-            assert np.all(np.isnan(mixed.snr_db[rows][0::2]))
-            assert np.array_equal(mixed.frames[rows][1::2], noisy.frames[rows][1::2])
-            assert np.all(mixed.snr_db[rows][1::2] == 10.0)
+    @pytest.mark.parametrize("grid", [(None, 10.0), (float("nan"),)])
+    def test_non_finite_grid_entry_rejected(self, grid):
+        with pytest.raises(ValueError, match=f"snr_db must be finite, got {grid[0]}$"):
+            data.build_dataset(data.DatasetSpec(4, grid))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import synth_oracle
 from rfmc import data, fileio, nn, quant
 
 GOLDEN_SPEC = data.DatasetSpec(frames_per_class=20, master_seed=0)
-GOLDEN_TRAIN = nn.TrainConfig(epochs=3, seed=0)
+GOLDEN_TRAIN = {"epochs": 3, "seed": 0}
 
 DATASET_CRC = 0x3542FB0A
 FLOAT_MODEL_CRC = 0x587FD659
@@ -41,7 +41,7 @@ def body_crc(path) -> int:
 def golden(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
     dataset = data.build_dataset(GOLDEN_SPEC)
-    params, _ = nn.train(dataset.frames, dataset.labels, GOLDEN_TRAIN)
+    params, _ = nn.train(dataset.frames, dataset.labels, **GOLDEN_TRAIN)
     qnet = quant.quantize_network(params, dataset.frames)
     paths = {name: tmp / name for name in ("golden.rfds", "float.rfmc", "quant.rfmc")}
     data.save_dataset(dataset, paths["golden.rfds"])
@@ -67,6 +67,6 @@ def test_training_on_seedsequence_dataset_file_is_unchanged(tmp_path):
     data.save_dataset(synth_oracle.seedsequence_dataset(GOLDEN_SPEC), path)
     assert body_crc(path) == SEEDSEQUENCE_DATASET_CRC
     dataset = data.load_dataset(path)
-    params, _ = nn.train(dataset.frames, dataset.labels, GOLDEN_TRAIN)
+    params, _ = nn.train(dataset.frames, dataset.labels, **GOLDEN_TRAIN)
     fileio.save_float_model(tmp_path / "float.rfmc", params)
     assert body_crc(tmp_path / "float.rfmc") == SEEDSEQUENCE_FLOAT_MODEL_CRC

@@ -8,7 +8,7 @@ import pytest
 
 import model_oracle
 from rfmc import nn
-from rfmc.nn import AdamState, NetworkParams, TrainConfig
+from rfmc.nn import AdamState, NetworkParams
 from rfmc.seeding import split_seed
 
 
@@ -329,32 +329,31 @@ class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         x, y = separable_toy()
         assert perceptron_separable(x, y), "oracle: toy set must be separable"
-        config = TrainConfig(epochs=200, batch_size=8, seed=2)
-        params, history = nn.train(x, y, config, layer_dims=(4, 8, 2))
+        # One optimizer step an epoch: the 1400 steps of 200 epochs at batch 8.
+        params, history = nn.train(x, y, epochs=1400, seed=2, layer_dims=(4, 8, 2))
         assert np.array_equal(np.argmax(nn.forward_batch(params, x), axis=1), y)
-        assert len(history) == 200
+        assert len(history) == 1400
 
     def test_smoothed_loss_non_increasing(self):
-        # batch_size >= n makes each epoch exactly one optimizer step
+        # nn.BATCH_SIZE >= n makes each epoch exactly one optimizer step
         x, y = separable_toy()
-        config = TrainConfig(epochs=200, batch_size=64, seed=2)
-        _, history = nn.train(x, y, config, layer_dims=(4, 8, 2))
+        assert len(x) <= nn.BATCH_SIZE
+        _, history = nn.train(x, y, epochs=200, seed=2, layer_dims=(4, 8, 2))
         smoothed = np.convolve(history, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-6)
 
     def test_deterministic(self):
-        x, y = separable_toy()
-        config = TrainConfig(epochs=20, batch_size=8, seed=11)
-        a, _ = nn.train(x, y, config, layer_dims=(4, 8, 2))
-        b, _ = nn.train(x, y, config, layer_dims=(4, 8, 2))
+        # several batches an epoch, so the per-epoch reshuffle counts
+        x, y = separable_toy(n=200)
+        a, _ = nn.train(x, y, epochs=20, seed=11, layer_dims=(4, 8, 2))
+        b, _ = nn.train(x, y, epochs=20, seed=11, layer_dims=(4, 8, 2))
         for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
             assert np.array_equal(wa, wb)
 
     def test_zero_epochs_returns_initialization(self):
         x, y = separable_toy()
-        config = TrainConfig(epochs=0, seed=13)
-        params, history = nn.train(x, y, config, layer_dims=(4, 8, 2))
-        init_seed, _ = split_seed(config.seed, 2)
+        params, history = nn.train(x, y, epochs=0, seed=13, layer_dims=(4, 8, 2))
+        init_seed, _ = split_seed(13, 2)
         reference = nn.init_params((4, 8, 2), seed=init_seed)
         assert history == []
         for a, b in zip(params.weights + params.biases, reference.weights + reference.biases):
@@ -362,7 +361,7 @@ class TestTrain:
 
     def test_returns_float64_holding_float32_values(self):
         x, y = separable_toy()
-        params, _ = nn.train(x, y, TrainConfig(epochs=3, batch_size=8, seed=2), layer_dims=(4, 8, 2))
+        params, _ = nn.train(x, y, epochs=3, seed=2, layer_dims=(4, 8, 2))
         for p in params.weights + params.biases:
             assert p.dtype == np.float64
             assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
@@ -374,7 +373,7 @@ class TestTrain:
         labels = np.arange(2100) % nn.ARCH[-1]
         tracemalloc.start()
         try:
-            nn.train(frames, labels, TrainConfig(epochs=1, seed=4))
+            nn.train(frames, labels, epochs=1, seed=4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,7 +382,12 @@ class TestTrain:
     def test_missing_class_rejected(self):
         x, y = separable_toy()
         with pytest.raises(ValueError):
-            nn.train(x, np.zeros_like(y), TrainConfig(epochs=1), layer_dims=(4, 8, 2))
+            nn.train(x, np.zeros_like(y), epochs=1, layer_dims=(4, 8, 2))
+
+    def test_negative_epochs_rejected(self):
+        x, y = separable_toy()
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            nn.train(x, y, epochs=-1, layer_dims=(4, 8, 2))
 
 
 class TestGradientProperty:

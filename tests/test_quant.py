@@ -258,6 +258,24 @@ class TestQuantizeNetwork:
         with pytest.raises(ValueError, match=r"^frac_bits must be in 0\.\.15$"):
             QuantizedNetwork(toy.weights, toy.biases, weight_frac, act_frac)
 
+    @pytest.mark.parametrize("weight_frac, act_frac, bad", [
+        ([14.5, 13], [13, 12], "14.5"),
+        ([14, 13.0], [13, 12], "13.0"),
+        ([14, 13], [13.0, 12], "13.0"),
+        ([14, 13], [13, np.float64(12)], "12.0"),
+    ])
+    def test_non_integer_format_rejected(self, weight_frac, act_frac, bad):
+        toy = hand_toy_qnet()
+        with pytest.raises(ValueError, match=rf"^frac_bits must be integers, got {bad}$"):
+            QuantizedNetwork(toy.weights, toy.biases, weight_frac, act_frac)
+
+    def test_numpy_integer_formats_accepted(self):
+        toy = hand_toy_qnet()
+        qnet = QuantizedNetwork(toy.weights, toy.biases, [np.int64(14), np.uint8(13)],
+                                [np.int16(13), np.int32(12)])
+        x = quant.quantize_array(np.array([[0.75, 0.5], [-1.0, 0.25]]), INPUT_FORMAT)
+        assert np.array_equal(quant.quantized_logits(qnet, x), quant.quantized_logits(toy, x))
+
 
 FLOAT64_MAX = float(np.finfo(np.float64).max)
 
