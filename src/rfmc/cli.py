@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bench, data, evaluation, fileio, model, nn, quant
 from .fileio import ContainerError
-from .sigsynth import FRAME_LEN, LABEL_NAMES, NUM_CLASSES, label_name
+from .sigsynth import LABEL_NAMES, label_name
 from .stream import StreamServer
 
 EXIT_OK = 0
@@ -109,12 +109,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_classifier(load, path: str):
-    """``load(path)``, checked to map ``FRAME_LEN`` inputs to ``NUM_CLASSES`` outputs."""
+    """``load(path)``, checked by ``model.check_shape``."""
     net = load(path)
-    n_in, n_out = net.weights[0].shape[1], net.weights[-1].shape[0]
-    if (n_in, n_out) != (FRAME_LEN, NUM_CLASSES):
-        raise ValueError(f"{path}: network has {n_in} inputs and {n_out} outputs, "
-                         f"expected {FRAME_LEN} and {NUM_CLASSES}")
+    model.check_shape(net, path)
     return net
 
 

@@ -1,15 +1,22 @@
 """Labeled (frame, label, snr) datasets: build, split, save, load.
 
 Each frame draws from its own counter-keyed Philox streams
-(``seeding.frame_seed``, taken a class at a time through
+(``seeding.frame_seed``, taken a slice at a time through
 ``seeding.FrameStreams``): stream 0 gives the symbols (or the noise-class
 samples), stream 1 the channel noise, each keyed by the master seed with
 the counter starting at (0, index, class, stream). So a frame is a pure
 function of (master seed, class, index, stream): generation order never
 matters, the same spec always produces byte-identical datasets, and a
 dataset with N frames per class is, class by class, a prefix of one with
-more. ``build_dataset`` makes each class in one batch. Frames are stored
-as f32; noise-class records carry an n/a flag instead of an SNR.
+more. ``build_dataset`` cuts each class into slices of ``LOGITS_SLICE``
+frames and synthesizes the slices in a thread pool, one thread per CPU the
+process may run on, each slice writing its own rows. The pool runs with
+BLAS held at one thread (``blas.one_thread``): numpy's OpenBLAS otherwise
+spins a worker after every threaded product, and the slices' own synthesis
+products would keep it awake on the CPU the pool needs. Synthesis products
+are exact (``sigsynth._exact_grid``), so the bytes are the same at any
+thread count and in any slice order. Frames are stored as f32; noise-class
+records carry an n/a flag instead of an SNR.
 
 A dataset file is an ``rfmc.fileio`` container with the magic "RFDS";
 after the version its header holds the record count u32 and the frame
@@ -19,12 +26,15 @@ length u16, and its body is the records: label u8, snr flag u8 (0=valid,
 
 from __future__ import annotations
 
+import math
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, sigsynth
+from . import blas, channel, sigsynth
 from .fileio import (FileFormatError, check_remaining, check_trailer, read_exact, read_preamble,
                      write_file)
 from .quant import LOGITS_SLICE
@@ -51,6 +61,9 @@ class DatasetSpec:
             raise ValueError("frames_per_class must be >= 1")
         if not self.snr_grid:
             raise ValueError("snr_grid must be non-empty")
+        for snr in self.snr_grid:
+            if snr is None or not math.isfinite(snr):
+                raise ValueError(f"snr_db must be finite, got {snr}")
 
 
 @dataclass
@@ -80,11 +93,22 @@ class Dataset:
             raise ValueError("frames must be finite")
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_dataset(spec: DatasetSpec) -> Dataset:
-    """Generate frames_per_class frames for all seven classes, one batch per class.
+    """Generate frames_per_class frames for all seven classes.
 
     Modulated classes cycle their SNR over ``spec.snr_grid`` by frame
-    index; the noise class is the bare receiver noise floor.
+    index; the noise class is the bare receiver noise floor. Each class
+    is made in slices of ``LOGITS_SLICE`` frames, which a pool of one
+    thread per available CPU synthesizes into their own rows, with BLAS
+    held at one thread (``blas.one_thread``) so the pool has the CPUs.
     """
     spec.validate()
     per_class = spec.frames_per_class
@@ -92,19 +116,27 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     frames = np.empty((n, FRAME_LEN), dtype=np.float32)
     labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class)
     snr_db = np.full(n, np.nan, dtype=np.float32)
-
     grid = spec.snr_grid
-    for cls in range(NUM_CLASSES):
-        rows = slice(cls * per_class, (cls + 1) * per_class)
-        rngs = FrameStreams(spec.master_seed, cls, per_class, stream=0)
+
+    def fill(cls: int, start: int) -> None:
+        count = min(LOGITS_SLICE, per_class - start)
+        rows = slice(cls * per_class + start, cls * per_class + start + count)
+        rngs = FrameStreams(spec.master_seed, cls, count, stream=0, start=start)
         if cls == ModulationLabel.NOISE:
             frames[rows] = sigsynth.gen_noise_batch(rngs)
-            continue
-        snrs = [grid[idx % len(grid)] for idx in range(per_class)]
+            return
+        snrs = [grid[idx % len(grid)] for idx in range(start, start + count)]
         clean = sigsynth.modulate_batch(ModulationLabel(cls), rngs)
-        noise_rngs = FrameStreams(spec.master_seed, cls, per_class, stream=1)
+        noise_rngs = FrameStreams(spec.master_seed, cls, count, stream=1, start=start)
         frames[rows] = channel.apply_awgn_batch(clean, snrs, noise_rngs)
         snr_db[rows] = snrs
+
+    classes, starts = zip(*[(cls, start) for cls in range(NUM_CLASSES)
+                            for start in range(0, per_class, LOGITS_SLICE)])
+    with blas.one_thread(), ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
+        # map cancels the slices not yet started when one raises
+        for _ in pool.map(fill, classes, starts):
+            pass
     return Dataset(frames, labels, snr_db)
 
 

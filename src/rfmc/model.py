@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn, quant
 from .quant import INPUT_FORMAT, LOGITS_SLICE, QuantizedNetwork
-from .sigsynth import FRAME_LEN
+from .sigsynth import FRAME_LEN, NUM_CLASSES
 
 FRAME_BYTES = 2 * FRAME_LEN
 
@@ -35,6 +35,17 @@ def split_frames(held: bytes) -> tuple[np.ndarray, bytes]:
     n_frames = len(held) // FRAME_BYTES
     frames_q = np.frombuffer(held, "<i2", n_frames * FRAME_LEN).reshape(n_frames, FRAME_LEN)
     return frames_q, held[n_frames * FRAME_BYTES :]
+
+
+def check_shape(model, source: str = "") -> None:
+    """Raise ``ValueError`` unless ``model`` maps ``FRAME_LEN`` inputs to
+    ``NUM_CLASSES`` outputs; the message starts with ``source`` (a file
+    path) when one is given."""
+    n_in, n_out = model.weights[0].shape[1], model.weights[-1].shape[0]
+    if (n_in, n_out) != (FRAME_LEN, NUM_CLASSES):
+        prefix = f"{source}: " if source else ""
+        raise ValueError(f"{prefix}network has {n_in} inputs and {n_out} outputs, "
+                         f"expected {FRAME_LEN} and {NUM_CLASSES}")
 
 
 def path(model) -> str:

@@ -52,20 +52,22 @@ def frame_seed(master_seed: int, class_id: int, frame_index: int, stream: int = 
 
 class FrameStreams:
     """The streams ``frame_seed(master_seed, class_id, i, stream)`` of frames
-    ``i = 0 .. n - 1``, as one generator re-keyed as it is iterated.
+    ``i = start .. start + n - 1``, as one generator re-keyed as it is iterated.
 
-    Iteration yields that one generator ``n`` times, set to frame ``i``'s
-    stream just before the ``i``-th yield, so each frame's draws must be
+    Iteration yields that one generator ``n`` times, set to the next frame's
+    stream just before each yield, so each frame's draws must be
     taken before the iteration moves on, as ``sigsynth.modulate_batch``,
     ``sigsynth.gen_noise_batch`` and ``channel.apply_awgn_batch`` take them.
     """
 
-    def __init__(self, master_seed: int, class_id: int, n: int, stream: int = 0) -> None:
+    def __init__(self, master_seed: int, class_id: int, n: int, stream: int = 0,
+                 start: int = 0) -> None:
         key = master_seed & KEY_MASK
         self._key = np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64)
         self._class_id = class_id
         self._n = n
         self._stream = stream
+        self._start = start
 
     def __len__(self) -> int:
         return self._n
@@ -82,7 +84,7 @@ class FrameStreams:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        for index in range(self._n):
+        for index in range(self._start, self._start + self._n):
             counter[1] = index
             bit_gen.state = state  # copied in, so ``counter`` can change next
             yield generator

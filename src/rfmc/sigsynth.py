@@ -9,7 +9,7 @@ Every class is synthesized with one fixed waveform set: the module
 constants ``SAMPLES_PER_SYMBOL`` through ``CPM_MOD_INDEX``.
 
 Synthesis is batch-first: ``modulate_batch`` shapes every frame of a
-class with one matrix product. Pulse shaping is linear in the symbols, so
+batch with one matrix product. Pulse shaping is linear in the symbols, so
 per label it is one cached synthesis matrix: the 18 x 900 RRC matrix of
 a linear class, or the frequency-pulse matrix scaled by pi*h/sps of a
 phase class. Its entries sit on a power-of-two grid on which the product

@@ -68,9 +68,14 @@ class _Connection:
 
 
 class StreamServer:
-    """Single-threaded TCP server: one selector loop, one batch per select round."""
+    """Single-threaded TCP server: one selector loop, one batch per select round.
+
+    A network that does not map 1800 inputs to 7 classes raises
+    ``ValueError`` (``model.check_shape``) here, before anything binds.
+    """
 
     def __init__(self, net, host: str = "127.0.0.1", port: int = 0):
+        model.check_shape(net)
         self._classify, self.path_byte = make_raw_classifier(net)
         self._host = host
         self._port = port

@@ -112,6 +112,19 @@ class TestGenData:
                              "--seed", "33"]) == 0
         assert file_digest(a) == file_digest(b)
 
+    def test_same_bytes_at_one_blas_thread_and_at_the_default(self, tmp_path):
+        # 300 frames per class: two slices per class in the pool
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        outs = []
+        for threads in ("1", None):
+            outs.append(tmp_path / f"threads-{threads or 'default'}.rfds")
+            run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "rfmc.cli", "gen-data", "--out", str(outs[-1]),
+                            "--frames-per-class", "300", "--seed", "8"],
+                           env=run_env, check=True, capture_output=True, timeout=120)
+        assert file_digest(outs[0]) == file_digest(outs[1])
+
 
 class TestTrain:
     def test_model_has_valid_container(self, workspace):
@@ -979,6 +992,16 @@ class TestExitCodes:
         }[command]
         code, stdout, err = run_cli(capsys, command, "--model", bad, *argv)
         assert (code, stdout, err) == (1, "", self.wrong_shape_error(bad))
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_stream_server_rejects_the_wrong_shape(self, wrong_shape, monkeypatch, kind):
+        def no_bind(*args, **kwargs):
+            raise AssertionError("a socket was bound")
+
+        monkeypatch.setattr(stream.socket, "create_server", no_bind)
+        with pytest.raises(ValueError, match="^network has 1800 inputs and 8 outputs, "
+                                             "expected 1800 and 7$"):
+            StreamServer(fileio.load_model(wrong_shape[kind])).start()
 
     def test_quantize_and_compare_reject_the_wrong_shape(self, workspace, wrong_shape, tmp_path,
                                                          capsys):

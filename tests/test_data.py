@@ -1,15 +1,18 @@
 """Tests for dataset construction, splitting, and the RFDS file format."""
 
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from rfmc import data
+from rfmc import blas, channel, data, sigsynth
 from rfmc.fileio import ChecksumError, FileFormatError, TruncatedFileError
-from rfmc.sigsynth import FRAME_LEN
+from rfmc.seeding import FrameStreams
+from rfmc.sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +74,139 @@ class TestBuildDataset:
                                       equal_nan=True)
 
     @pytest.mark.parametrize("grid", [(None, 10.0), (float("nan"),)])
-    def test_non_finite_grid_entry_rejected(self, grid):
+    def test_non_finite_grid_entry_rejected(self, monkeypatch, grid):
+        # before any synthesis: no slice of a build fails part-way
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(sigsynth, "gen_noise_batch", no_synthesis)
+        monkeypatch.setattr(sigsynth, "modulate_batch", no_synthesis)
         with pytest.raises(ValueError, match=f"snr_db must be finite, got {grid[0]}$"):
             data.build_dataset(data.DatasetSpec(4, grid))
+
+    def test_grid_entry_no_frame_uses_rejected(self):
+        # one frame per class draws only the first entry
+        with pytest.raises(ValueError, match="snr_db must be finite, got None$"):
+            data.build_dataset(data.DatasetSpec(1, (10.0, None)))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             data.build_dataset(data.DatasetSpec(frames_per_class=0))
         with pytest.raises(ValueError):
             data.build_dataset(data.DatasetSpec(snr_grid=()))
+
+
+def serial_build(spec: data.DatasetSpec) -> data.Dataset:
+    """The dataset made one whole class at a time, in class order, on one thread."""
+    per_class = spec.frames_per_class
+    frames, snr_db = [], []
+    for cls in range(NUM_CLASSES):
+        rngs = FrameStreams(spec.master_seed, cls, per_class, stream=0)
+        if cls == ModulationLabel.NOISE:
+            frames.append(sigsynth.gen_noise_batch(rngs))
+            snr_db.append(np.full(per_class, np.nan))
+            continue
+        snrs = [spec.snr_grid[idx % len(spec.snr_grid)] for idx in range(per_class)]
+        clean = sigsynth.modulate_batch(ModulationLabel(cls), rngs)
+        frames.append(channel.apply_awgn_batch(
+            clean, snrs, FrameStreams(spec.master_seed, cls, per_class, stream=1)))
+        snr_db.append(snrs)
+    return data.Dataset(np.concatenate(frames).astype(np.float32),
+                        np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class),
+                        np.concatenate(snr_db).astype(np.float32))
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's BLAS set to two threads for the test, so a build's hold at
+    one thread shows; the count in force before is put back after."""
+    if blas._library is None:
+        pytest.skip("numpy's BLAS exposes no thread control")
+    get, set_ = blas._library
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBuildInSlices:
+    """``build_dataset`` synthesizes LOGITS_SLICE-frame slices in a thread pool."""
+
+    def test_bytes_equal_a_serial_class_by_class_build(self):
+        # 300 frames per class: a full slice and a partial one per class
+        spec = data.DatasetSpec(300, (0.0, 4.0, 8.0), master_seed=12)
+        assert datasets_equal(data.build_dataset(spec), serial_build(spec))
+
+    def test_blas_holds_one_thread_while_building_then_restores(self, blas_threads,
+                                                                monkeypatch):
+        seen = []
+        modulate = sigsynth.modulate_batch
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return modulate(*args)
+
+        monkeypatch.setattr(sigsynth, "modulate_batch", recording)
+        data.build_dataset(data.DatasetSpec(3))
+        assert set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_blas_count_restored_when_a_slice_raises(self, blas_threads, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("slice failed")
+
+        monkeypatch.setattr(sigsynth, "modulate_batch", failing)
+        with pytest.raises(RuntimeError, match="slice failed"):
+            data.build_dataset(data.DatasetSpec(600))
+        assert blas_threads() == 2
+
+    def test_blas_count_restored_after_concurrent_builds(self, blas_threads):
+        # more builders than CPUs, switching often, so their holds overlap
+        spec = data.DatasetSpec(20, master_seed=4)
+        expected = data.build_dataset(spec)
+        results = []
+
+        def build():
+            for _ in range(3):
+                results.append(data.build_dataset(spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 12
+        assert all(datasets_equal(result, expected) for result in results)
+        assert blas_threads() == 2
+
+    def test_no_pool_thread_outlives_the_build(self, monkeypatch):
+        before = set(threading.enumerate())
+        data.build_dataset(data.DatasetSpec(300))
+        assert set(threading.enumerate()) == before
+
+        def failing(*args):
+            raise RuntimeError("slice failed")
+
+        monkeypatch.setattr(sigsynth, "modulate_batch", failing)
+        with pytest.raises(RuntimeError):
+            data.build_dataset(data.DatasetSpec(300))
+        assert set(threading.enumerate()) == before
+
+    def test_peaks_at_a_few_slices_over_the_frames(self):
+        # whole-class batches peaked at 1.88x the frames' bytes
+        tracemalloc.start()
+        try:
+            ds = data.build_dataset(data.DatasetSpec(2000, master_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * ds.frames.nbytes, peak / ds.frames.nbytes
 
 
 class TestSplit:

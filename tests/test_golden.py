@@ -12,12 +12,13 @@ values, or update them and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import logging
 import struct
 
 import pytest
 
 import synth_oracle
-from rfmc import data, fileio, nn, quant
+from rfmc import blas, data, fileio, nn, quant
 
 GOLDEN_SPEC = data.DatasetSpec(frames_per_class=20, master_seed=0)
 GOLDEN_TRAIN = {"epochs": 3, "seed": 0}
@@ -52,6 +53,16 @@ def golden(tmp_path_factory):
 
 def test_dataset_pin(golden):
     assert golden["golden.rfds"] == DATASET_CRC
+
+
+def test_dataset_pin_without_blas_thread_control(tmp_path, monkeypatch, caplog):
+    # another BLAS build: the one-thread hold is a no-op that says so once
+    monkeypatch.setattr(blas, "_library", None)
+    with caplog.at_level(logging.INFO, logger="rfmc.blas"):
+        dataset = data.build_dataset(GOLDEN_SPEC)
+    assert [r.name for r in caplog.records] == ["rfmc.blas"]
+    data.save_dataset(dataset, tmp_path / "golden.rfds")
+    assert body_crc(tmp_path / "golden.rfds") == DATASET_CRC
 
 
 def test_float_model_pin(golden):

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from rfmc.seeding import KEY_MASK, FrameStreams, frame_seed
 
@@ -36,13 +37,14 @@ def test_block_counter_carries_into_the_frame_index_word():
     assert bit_gen.state["state"]["key"].tolist() == [7 & KEY_MASK, 0]
 
 
-def test_frame_streams_give_each_frame_its_frame_seed_stream():
+@pytest.mark.parametrize("start", [0, 257])
+def test_frame_streams_give_each_frame_its_frame_seed_stream(start):
     master = (1 << 130) + 11
-    streams = FrameStreams(master, 4, 6, stream=1)
+    streams = FrameStreams(master, 4, 6, stream=1, start=start)
     assert len(streams) == 6
-    for _ in range(2):  # a second pass starts again at frame 0
+    for _ in range(2):  # a second pass starts again at frame ``start``
         seen = 0
-        for idx, rng in enumerate(streams):
+        for idx, rng in enumerate(streams, start):
             expected = frame_seed(master, 4, idx, 1)
             # an odd number of 32-bit draws leaves half a word buffered;
             # the next frame's stream must not see it
