@@ -4,10 +4,11 @@ Frames are pre-generated before any clock starts, so synthesis and input
 quantization never pollute the numbers. ``rfmc bench`` hands both model
 kinds the same raw int16 frames, in the Q2.13 format every model reads
 (see ``rfmc.model``), so the float and the quantized path are timed on
-the same int16-in path that ``rfmc serve`` runs. Frames are classified one
-at a time in one thread, so each sample is one frame's latency, and the
-rate is the frames over the timed loop's wall time. Per-frame samples are
-kept on the report for auditing.
+the same int16-in path that ``rfmc serve`` runs, on unit-power noise-class
+frames (``sigsynth.gen_noise_batch`` on the streams of ``FRAME_SEED``).
+Frames are classified one at a time in one thread, so each sample is one
+frame's latency, and the rate is the frames over the timed loop's wall
+time. Per-frame samples are kept on the report for auditing.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import rng_from_seed
-from .sigsynth import FRAME_LEN
-
 MIN_FRAMES = 100
+
+# Master seed of the frames ``rfmc bench`` times.
+FRAME_SEED = 12345
 
 # Paper-reported per-sample latencies, printed as context only; host-CPU
 # numbers are not comparable to any of them.
@@ -39,12 +40,6 @@ class LatencyReport:
     mean_ns: float
     frames_per_second: float
     samples_ns: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(repr=False)
-
-
-def gaussian_frames(n: int, seed: int = 12345) -> np.ndarray:
-    """(n, FRAME_LEN) seeded unit-power Gaussian frames for timing runs."""
-    return rng_from_seed(seed).standard_normal((n, FRAME_LEN)) * np.sqrt(0.5)
 
 
 def bench_inference(classifier, frames, warmup: int = 100) -> LatencyReport:
@@ -62,14 +57,12 @@ def bench_inference(classifier, frames, warmup: int = 100) -> LatencyReport:
         classifier(frame)
 
     samples = np.empty(n_frames, dtype=np.int64)
-    labels = np.empty(n_frames, dtype=np.int64)
 
     wall_start = time.perf_counter_ns()
     for i, frame in enumerate(frames):
         t0 = time.perf_counter_ns()
-        label = classifier(frame)
+        classifier(frame)
         samples[i] = time.perf_counter_ns() - t0
-        labels[i] = label
     wall_ns = time.perf_counter_ns() - wall_start
 
     return LatencyReport(
@@ -79,7 +72,6 @@ def bench_inference(classifier, frames, warmup: int = 100) -> LatencyReport:
         mean_ns=float(samples.mean()),
         frames_per_second=n_frames / (wall_ns / 1e9),
         samples_ns=samples,
-        labels=labels,
     )
 
 

@@ -2,7 +2,7 @@
 
 SNR is defined against the synthesizer's unit complex-sample power, so a
 frame at ``snr_db`` carries complex noise of variance 10**(-snr_db/10)
-(half per real component). Every SNR must be finite.
+(half per real component). Every SNR must be finite (``check_snr``).
 """
 
 from __future__ import annotations
@@ -23,18 +23,23 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def check_snr(snr_db: Sequence[float]) -> None:
+    """Raise ``ValueError`` naming the first ``None``, NaN or infinite entry."""
+    for snr in snr_db:
+        if snr is None or not math.isfinite(snr):
+            raise ValueError(f"snr_db must be finite, got {snr}")
+
+
 def apply_awgn_batch(
     frames: np.ndarray, snr_db: Sequence[float], rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """``frames`` (n, ...) plus complex white Gaussian noise: row i gets it at
-    ``snr_db[i]``, drawn from ``rngs[i]`` alone. A ``None``, NaN or infinite
-    entry raises ``ValueError`` naming it."""
+    ``snr_db[i]``, drawn from ``rngs[i]`` alone. Every entry must pass
+    ``check_snr``."""
     frames = np.asarray(frames, dtype=np.float64)
     if not len(frames) == len(snr_db) == len(rngs):
         raise ValueError("frames, snr_db and rngs must have the same length")
-    for snr in snr_db:
-        if snr is None or not math.isfinite(snr):
-            raise ValueError(f"snr_db must be finite, got {snr}")
+    check_snr(snr_db)
     sigma = np.array([math.sqrt(noise_variance(snr) / 2.0) for snr in snr_db])
     noise = np.empty_like(frames)
     for row, rng in zip(noise, rngs):

@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from . import bench, data, evaluation, fileio, model, nn, quant
+from . import bench, data, evaluation, fileio, model, nn, quant, seeding, sigsynth
 from .fileio import ContainerError
-from .sigsynth import LABEL_NAMES, label_name
+from .sigsynth import LABEL_NAMES, ModulationLabel, label_name
 from .stream import StreamServer
 
 EXIT_OK = 0
@@ -170,7 +170,8 @@ def _labeler(net):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     net = _load_classifier(fileio.load_model, args.model)
-    frames_q = quant.quantize_array(bench.gaussian_frames(max(args.frames, 0)), quant.INPUT_FORMAT)
+    streams = seeding.FrameStreams(bench.FRAME_SEED, ModulationLabel.NOISE, max(args.frames, 0))
+    frames_q = quant.quantize_array(sigsynth.gen_noise_batch(streams), quant.INPUT_FORMAT)
 
     def classifier(frame_q):
         return int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))

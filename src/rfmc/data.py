@@ -26,7 +26,6 @@ length u16, and its body is the records: label u8, snr flag u8 (0=valid,
 
 from __future__ import annotations
 
-import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -61,9 +60,7 @@ class DatasetSpec:
             raise ValueError("frames_per_class must be >= 1")
         if not self.snr_grid:
             raise ValueError("snr_grid must be non-empty")
-        for snr in self.snr_grid:
-            if snr is None or not math.isfinite(snr):
-                raise ValueError(f"snr_db must be finite, got {snr}")
+        channel.check_snr(self.snr_grid)
 
 
 @dataclass

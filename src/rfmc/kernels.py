@@ -6,14 +6,15 @@ at the accumulator position, clamps with ReLU on hidden layers, and
 requantizes with a right shift, saturated to int16.
 
 Every float-to-integer step of the datapath (input and weight
-quantization, bias alignment, the requantizer) goes through one kernel,
-``round_saturate``: ``trunc(x + copysign(1/2, x))``, then a clamp. That
-is round half away from zero, ``floor(|x| + 1/2)`` with x's sign, exact
-for every float64 below 2**52 in magnitude but one: for the double just
-below 1/2, ``x + 1/2`` rounds up to 1. (From 2**52 on, odd integers round
-up by one, far above every clamp used.) Callers first scale by a power
-of two, which is exact; a requantized accumulator, an integer times
-2**-shift with shift at most 30, never meets the exception.
+quantization, bias alignment, the requantizer, ``round_shift``) goes
+through one kernel, ``round_saturate``: ``trunc(x + copysign(1/2, x))``,
+then a clamp. That is round half away from zero, ``floor(|x| + 1/2)``
+with x's sign, exact for every float64 below 2**52 in magnitude but one:
+for the double just below 1/2, ``x + 1/2`` rounds up to 1. (From 2**52
+on, odd integers round up by one, far above every clamp used.) Callers
+first scale by a power of two, which is exact; a requantized accumulator,
+an integer times 2**-shift with shift at most 30, never meets the
+exception.
 
 The engine computes the multiply-accumulate as a float64 BLAS matmul on
 weights converted to float64 once per network (``prepare_weights``).
@@ -47,20 +48,13 @@ def round_saturate(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def round_shift(values: np.ndarray, shift: int) -> np.ndarray:
-    """Shift right by ``shift`` bits rounding half away from zero.
-
-    Negative ``shift`` means shift left (exact). The engine rounds through
-    ``round_saturate``; this int64 form stays only because the benchmark's
-    tracer self-test targets it.
-    """
-    v = np.asarray(values, dtype=np.int64)
-    if shift == 0:
-        return v.copy()
-    if shift < 0:
-        return v << np.int64(-shift)
-    half = np.int64(1) << np.int64(shift - 1)
-    magnitude = (np.abs(v) + half) >> np.int64(shift)
-    return np.where(v >= 0, magnitude, -magnitude)
+    """int64 ``values * 2**-shift`` by ``round_saturate``, unclamped; a
+    negative ``shift`` shifts left. Exact while values and results are below
+    2**52 in magnitude (from there on an odd result rounds up by one). No
+    program path calls it; it stays because the benchmark's tracer self-test
+    targets it."""
+    scaled = np.asarray(values, dtype=np.float64) * 2.0**-shift
+    return round_saturate(scaled, -np.inf, np.inf).astype(np.int64)
 
 
 def accumulator_bound(weights: np.ndarray, bias_acc: np.ndarray) -> int:

@@ -10,6 +10,9 @@ through ``rfmc.model``), training (``_forward_backward``, then the in-place
 it. ``forward`` and ``adam_step`` are one-frame and copying forms that stay
 only because the benchmark traces them.
 
+``check_layers`` is the one layer-stack check, for both network kinds, so
+a network of either kind that validates also saves and loads.
+
 ``train`` has one recipe: batches of ``BATCH_SIZE``, each an Adam step at
 ``LEARNING_RATE`` then decoupled weight decay ``WEIGHT_DECAY``. Callers set
 only the epochs (``EPOCHS`` by default) and the seed.
@@ -70,17 +73,23 @@ class NetworkParams:
         )
 
     def validate(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be non-empty and congruent")
-        prev_out = None
+        check_layers(self.weights, self.biases)
         for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise ValueError("bias length must match weight rows")
-            if prev_out is not None and w.shape[1] != prev_out:
-                raise ValueError("layer input dim must match previous output dim")
-            prev_out = w.shape[0]
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
+
+
+def check_layers(weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
+    """Raise ``ValueError`` unless ``weights`` and ``biases`` are a non-empty
+    layer stack: 2-D (out x in) weights, one bias per row, chained dims."""
+    if len(weights) != len(biases) or not weights:
+        raise ValueError("weights and biases must be non-empty and congruent")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or b.shape != (w.shape[0],):
+            raise ValueError("bias length must match weight rows")
+        if i and w.shape[1] != weights[i - 1].shape[0]:
+            raise ValueError(f"layer {i} input dim {w.shape[1]} does not chain to the "
+                             f"previous output dim {weights[i - 1].shape[0]}")
 
 
 @dataclass
@@ -264,11 +273,11 @@ def train(
 ) -> tuple[NetworkParams, list[float]]:
     """Train from a fresh seeded init; returns (params, per-epoch mean loss).
 
-    Requires ``epochs >= 0`` and every output class in ``labels``. Batches
-    of ``BATCH_SIZE`` are reshuffled each epoch from ``seed``, so the run is
-    a pure function of (frames, labels, epochs, seed). Each batch takes one
-    ``adam_update`` at ``LEARNING_RATE``, then the weights decay by
-    ``LEARNING_RATE * WEIGHT_DECAY``.
+    Requires ``epochs >= 0``, every label an output class and every output
+    class in ``labels``. Batches of ``BATCH_SIZE`` are reshuffled each epoch
+    from ``seed``, so the run is a pure function of (frames, labels, epochs,
+    seed). Each batch takes one ``adam_update`` at ``LEARNING_RATE``, then
+    the weights decay by ``LEARNING_RATE * WEIGHT_DECAY``.
 
     Training runs in float32: float32 frames are used as they are (others
     are converted once), and the parameters, gradients, Adam moments and
@@ -284,6 +293,8 @@ def train(
     if x.shape[1] != layer_dims[0]:
         raise ValueError(f"frame dim {x.shape[1]} != input dim {layer_dims[0]}")
     present = set(np.unique(y).tolist())
+    if outside := sorted(present - set(range(layer_dims[-1]))):
+        raise ValueError(f"label {outside[0]} is outside 0..{layer_dims[-1] - 1}")
     missing = [c for c in range(layer_dims[-1]) if c not in present]
     if missing:
         raise ValueError(f"dataset is missing classes: {missing}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import INT16_MAX, INT16_MIN
-from .nn import NetworkParams, activations
+from .nn import NetworkParams, activations, check_layers
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -119,10 +119,11 @@ class QuantizedNetwork:
     so it feeds the kernels directly). Every format is an integer in
     0..15, and ``act_frac[0]`` must be ``INPUT_FORMAT``, 13.
 
-    Construction validates the network, converts the weights to float64
-    once for the kernel engine (``weights_f64``) and raises ``ValueError``
-    if any layer's static accumulator bound reaches ``ACC_LIMIT``, so no
-    network reaches the engine unchecked.
+    Construction validates the network (the layer stack by
+    ``nn.check_layers``), converts the weights to float64 once for the
+    kernel engine (``weights_f64``) and raises ``ValueError`` if any
+    layer's static accumulator bound reaches ``ACC_LIMIT``, so no network
+    reaches the engine or a model file unchecked.
     """
 
     weights: list[np.ndarray]
@@ -150,13 +151,12 @@ class QuantizedNetwork:
         return self.acc_frac(layer) - self.act_frac[layer + 1]
 
     def validate(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.weight_frac) == len(self.act_frac)):
+        check_layers(self.weights, self.biases)
+        if not len(self.weights) == len(self.weight_frac) == len(self.act_frac):
             raise ValueError("per-layer lists must have equal length")
         for w, b in zip(self.weights, self.biases):
             if w.dtype != np.int16 or b.dtype != np.int64:
                 raise ValueError("weights must be int16 and biases int64")
-            if b.shape != (w.shape[0],):
-                raise ValueError("bias length must match weight rows")
             if np.any(b < INT32_MIN) or np.any(b > INT32_MAX):
                 raise ValueError("aligned biases must fit in int32")
         for f in (*self.weight_frac, *self.act_frac):

@@ -2,13 +2,13 @@
 
 import math
 import time
-import zlib
 
 import numpy as np
 import pytest
 
-from rfmc import bench, nn, quant
-from rfmc.seeding import rng_from_seed
+from rfmc import bench, model, nn, quant, sigsynth
+from rfmc.seeding import FrameStreams, rng_from_seed
+from rfmc.sigsynth import ModulationLabel
 
 FIXED_COST_S = 1e-3
 
@@ -23,19 +23,23 @@ def fixed_cost_classifier(frame):
     return 0
 
 
+def noise_frames_q(n, seed):
+    """``n`` int16 unit-power noise frames drawn as ``rfmc bench`` draws them."""
+    streams = FrameStreams(seed, ModulationLabel.NOISE, n)
+    return list(quant.quantize_array(sigsynth.gen_noise_batch(streams), quant.INPUT_FORMAT))
+
+
+def row_classifier(net):
+    """The one-row ``model.raw_logits`` call that ``rfmc bench`` times."""
+    return lambda frame_q: int(np.argmax(model.raw_logits(net, frame_q[np.newaxis])[0]))
+
+
 @pytest.fixture(scope="module")
 def quantized_setup():
     params = nn.init_params(nn.ARCH, seed=50)
     rng = rng_from_seed(51)
     qnet = quant.quantize_network(params, rng.standard_normal((64, nn.ARCH[0])))
-    frames = [
-        quant.quantize_frame(f, quant.INPUT_FORMAT) for f in bench.gaussian_frames(400, seed=52)
-    ]
-
-    def classifier(frame_q):
-        return quant.quantized_forward(qnet, frame_q)[1]
-
-    return classifier, frames, params
+    return row_classifier(qnet), noise_frames_q(400, seed=52), params
 
 
 class TestBenchInference:
@@ -63,23 +67,13 @@ class TestBenchInference:
         b = bench.bench_inference(classifier, frames[:150], warmup=20)
         assert a.mean_ns > 0 and b.mean_ns > 0
 
-    def test_labels_unchanged_by_benchmarking(self, quantized_setup):
-        classifier, frames, _ = quantized_setup
-        report = bench.bench_inference(classifier, frames[:150], warmup=10)
-        plain = np.array([classifier(f) for f in frames[:150]], dtype=np.int64)
-        assert zlib.crc32(report.labels.tobytes()) == zlib.crc32(plain.tobytes())
-
     def test_quantized_not_slower_than_float_by_much(self, quantized_setup):
         # The paths take turns, a block of 100 frames each, so a slow phase
         # of the shared host falls on both, and the medians pass over the
         # odd stalled frame.
         classifier, frames, params = quantized_setup
-        float_frames = bench.gaussian_frames(300, seed=60)
-
-        def float_classifier(frame):
-            return int(np.argmax(nn.forward(params, frame)[0]))
-
-        paths = {"quantized": (classifier, frames[:300]), "float": (float_classifier, float_frames)}
+        paths = {"quantized": (classifier, frames[:300]),
+                 "float": (row_classifier(params), noise_frames_q(300, seed=60))}
         samples_ns = {path: [] for path in paths}
         for start in range(0, 300, bench.MIN_FRAMES):
             for path, (path_classifier, path_frames) in paths.items():
@@ -117,13 +111,6 @@ class TestBenchThroughput:
                 break
             tiles = math.ceil(tiles * 1.2 / wall_s)
         assert report.frames_per_second >= 1000
-
-
-class TestGaussianFrames:
-    def test_one_draw_equals_a_draw_per_frame(self):
-        rng = rng_from_seed(7)
-        per_frame = [rng.standard_normal(1800) * np.sqrt(0.5) for _ in range(3)]
-        assert np.array_equal(bench.gaussian_frames(3, seed=7), np.stack(per_frame))
 
 
 class TestFormatReport:

@@ -1,12 +1,15 @@
-"""Every module attribute the benchmark in ``perfbench/`` traces or calls exists.
+"""The benchmark in ``perfbench/`` still runs on the package.
 
-The benchmark's tracer records an attribute it cannot find as absent
-instead of failing, so deleting one from the package would drop its
-metrics silently. This test loads the benchmark's target list without
-running or changing anything under ``perfbench/``.
+Every module attribute it traces or calls exists: the benchmark's tracer
+records an attribute it cannot find as absent instead of failing, so
+deleting one from the package would drop its metrics silently. And the
+benchmark's own self-test passes, so a change to what it calls (say
+``round_shift`` or ``quantized_forward``) cannot break it unseen. Nothing
+under ``perfbench/`` is changed.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,12 @@ def test_every_benchmark_target_resolves():
         layers = load_perfbench_module(mp, "layers")
     paths = [target.path for target in layers.TARGETS] + list(CALLED)
     assert [path for path in paths if tracer.resolve(path) is None] == []
+
+
+def test_benchmark_self_test_passes():
+    # run as the self-test's docstring says: from the root of the checkout
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]

@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfmc import fileio, nn, quant
 from rfmc.fileio import FileFormatError
@@ -78,6 +80,51 @@ def test_dims_that_do_not_chain_rejected_before_the_body(tmp_path):
     path.write_bytes(model_header([(100, 1800), (7, 20)]))
     with pytest.raises(FileFormatError, match="chain"):
         fileio.load_model(path)
+
+
+def test_unchained_quantized_network_raises_before_a_file_is_written(tmp_path):
+    path = tmp_path / "q.rfmc"
+    message = "layer 1 input dim 5 does not chain to the previous output dim 4"
+    with pytest.raises(ValueError, match=message):
+        fileio.save_quantized_model(path, quant.QuantizedNetwork(
+            [np.ones((4, 3), np.int16), np.ones((2, 5), np.int16)],
+            [np.zeros(4, np.int64), np.zeros(2, np.int64)],
+            weight_frac=[14, 12],
+            act_frac=[13, 11],
+        ))
+    assert not path.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["float", "quantized"]), data=st.data())
+def test_chained_networks_of_both_kinds_load_back_equal(tmp_path_factory, kind, data):
+    dims = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4), label="dims")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = list(zip(dims[1:], dims[:-1]))
+    if kind == "float":
+        net = nn.NetworkParams([rng.standard_normal(s) for s in shapes],
+                               [rng.standard_normal(o) for o, _ in shapes])
+        net.validate()
+        save = fileio.save_float_model
+    else:
+        def fracs(n):
+            return st.lists(st.integers(0, 15), min_size=n, max_size=n)
+
+        net = quant.QuantizedNetwork(
+            [rng.integers(-32768, 32768, s).astype(np.int16) for s in shapes],
+            [rng.integers(-(2**31), 2**31, o).astype(np.int64) for o, _ in shapes],
+            weight_frac=data.draw(fracs(len(shapes)), label="weight_frac"),
+            act_frac=[quant.INPUT_FORMAT] + data.draw(fracs(len(shapes) - 1), label="act_frac"),
+        )
+        save = fileio.save_quantized_model
+    path = tmp_path_factory.mktemp("round_trip") / "model.rfmc"
+    save(path, net)
+    loaded = fileio.load_model(path)
+    assert type(loaded) is type(net)
+    for got, want in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if kind == "quantized":
+        assert (loaded.weight_frac, loaded.act_frac) == (net.weight_frac, net.act_frac)
 
 
 def tiny_float_params():

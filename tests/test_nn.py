@@ -384,6 +384,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             nn.train(x, np.zeros_like(y), epochs=1, layer_dims=(4, 8, 2))
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_rejected(self, label):
+        # every class 0..2 is present, so only the range check can refuse it
+        x, _ = separable_toy()
+        y = np.arange(len(x)) % 3
+        y[0] = label
+        with pytest.raises(ValueError, match=rf"^label {label} is outside 0\.\.2$"):
+            nn.train(x, y, epochs=1, layer_dims=(4, 8, 3))
+
     def test_negative_epochs_rejected(self):
         x, y = separable_toy()
         with pytest.raises(ValueError, match="epochs must be >= 0"):
