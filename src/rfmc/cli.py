@@ -228,26 +228,27 @@ def _classify_raw(net, source) -> tuple[int, int]:
 
     Each ``read1`` asks for ``model.LOGITS_SLICE`` frames. A regular file
     returns them all; a pipe returns what has arrived, and reads go on while
-    select finds more waiting, so the batch follows the arrival rate. A
-    partial frame waits for the next read.
+    select finds more waiting, so the batch follows the arrival rate. One
+    ``model.FrameReader`` cuts the frames; a partial frame waits in it for
+    the next read.
     """
     slice_bytes = model.LOGITS_SLICE * model.FRAME_BYTES
     n_frames = 0
-    pending = b""
+    reader = model.FrameReader()
     while chunk := source.read1(slice_bytes):
-        pieces = [pending + chunk]  # joined once; a lone piece is not copied
-        held = len(pieces[0])
-        while held < slice_bytes and select.select([source], [], [], 0)[0]:
-            if not (more := source.read1(slice_bytes - held)):
+        pieces = [chunk]  # joined once; a lone piece is not copied
+        size = len(reader.held) + len(chunk)
+        while size < slice_bytes and select.select([source], [], [], 0)[0]:
+            if not (more := source.read1(slice_bytes - size)):
                 break
             pieces.append(more)
-            held += len(more)
-        frames_q, pending = model.split_frames(b"".join(pieces))
+            size += len(more)
+        frames_q = reader.feed(b"".join(pieces))
         if len(frames_q):
             _print_labels(net, model.raw_logits(net, frames_q), start=n_frames)
             sys.stdout.flush()
             n_frames += len(frames_q)
-    return n_frames, len(pending)
+    return n_frames, len(reader.held)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -304,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="dataset file input")
     p.add_argument("--raw", help="raw frames in rfmc.model's wire format, from a file or "
-                   "'-' for stdin; frames are classified as they are read, at most "
-                   "LOGITS_SLICE per batch, and each batch's lines are flushed")
+                   "'-' for stdin, cut by one model.FrameReader; frames are classified "
+                   "as they are read, at most LOGITS_SLICE per batch, and each batch's "
+                   "lines are flushed")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("serve", help="TCP stream classifier")

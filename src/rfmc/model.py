@@ -11,9 +11,10 @@ feeds them to its datapath, whose input format is always Q2.13, and the
 float path dequantizes them under the same format. On the wire (``rfmc
 serve``, ``classify --raw``) a frame is ``FRAME_BYTES`` = 3600 bytes of
 little-endian int16, frames back to back, and bytes arrive cut anywhere,
-even inside a sample: ``split_frames`` turns the bytes held so far into
-whole frames plus the partial frame's bytes, which wait for more; bytes
-left when the stream ends are no frame.
+even inside a sample. Each byte stream has one ``FrameReader``: it turns
+each piece of the stream into the whole frames that piece completes, and
+holds the partial frame's bytes until more arrive; bytes held when the
+stream ends are no frame.
 """
 
 from __future__ import annotations
@@ -29,12 +30,23 @@ from .sigsynth import FRAME_LEN, NUM_CLASSES
 FRAME_BYTES = 2 * FRAME_LEN
 
 
-def split_frames(held: bytes) -> tuple[np.ndarray, bytes]:
-    """The whole raw frames at the start of ``held``, as an (n, 1800) int16
-    view of its bytes (no copy), and the bytes of the partial frame after them."""
-    n_frames = len(held) // FRAME_BYTES
-    frames_q = np.frombuffer(held, "<i2", n_frames * FRAME_LEN).reshape(n_frames, FRAME_LEN)
-    return frames_q, held[n_frames * FRAME_BYTES :]
+class FrameReader:
+    """The receiving end of one raw byte stream: ``feed`` it each piece as
+    it arrives. ``held`` is the bytes of the partial frame, ``b""`` at the
+    start."""
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        self.held = b""
+
+    def feed(self, data: bytes) -> np.ndarray:
+        """The whole frames that ``data`` completes, as an (n, 1800) ``<i2``
+        view of the bytes held so far (no copy); the tail stays in ``held``."""
+        data = self.held + data
+        n_frames = len(data) // FRAME_BYTES
+        self.held = data[n_frames * FRAME_BYTES :]
+        return np.frombuffer(data, "<i2", n_frames * FRAME_LEN).reshape(n_frames, FRAME_LEN)
 
 
 def check_shape(model, source: str = "") -> None:

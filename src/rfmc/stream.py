@@ -2,11 +2,12 @@
 
 Wire format: raw frames as ``rfmc.model`` defines them (3600 bytes of
 little-endian int16 in Q2.13 each, whichever model the server runs), cut
-into frames by ``model.split_frames``. Each complete frame is answered
-with two bytes: label id, then path id (0=float, 1=quantized), in the
-order the frames arrived on that connection. Partial frames are held
-until complete; a connection that closes mid-frame is logged and dropped
-without disturbing other connections.
+into frames by one ``model.FrameReader`` per connection. Each complete
+frame is answered with two bytes: label id, then path id (0=float,
+1=quantized), in the order the frames arrived on that connection. A
+partial frame waits in its reader until complete; a connection that
+closes mid-frame is logged and dropped without disturbing other
+connections.
 
 One thread runs one ``selectors`` loop over the listener and every
 connection, one batch per select round: the loop does one ``recv`` on
@@ -56,15 +57,15 @@ def make_raw_classifier(net) -> tuple:
 
 
 class _Connection:
-    """Per-connection buffers."""
+    """Per-connection state."""
 
-    __slots__ = ("addr", "inbox", "outbox", "eof")
+    __slots__ = ("addr", "reader", "outbox", "eof")
 
     def __init__(self, addr) -> None:
         self.addr = addr
-        self.inbox = b""           # bytes of the frame not yet complete
-        self.outbox = bytearray()  # replies the socket has not taken yet
-        self.eof = False           # the client finished sending
+        self.reader = model.FrameReader()  # holds the frame not yet complete
+        self.outbox = bytearray()          # replies the socket has not taken yet
+        self.eof = False                   # the client finished sending
 
 
 class StreamServer:
@@ -181,13 +182,13 @@ class StreamServer:
         data = conn.recv(RECV_BYTES)
         if not data:
             state.eof = True
-            if state.inbox:
+            if state.reader.held:
                 logger.warning(
                     "%s closed mid-frame: %d residual bytes dropped",
-                    state.addr, len(state.inbox),
+                    state.addr, len(state.reader.held),
                 )
             return None
-        frames_q, state.inbox = model.split_frames(state.inbox + data)
+        frames_q = state.reader.feed(data)
         return frames_q if len(frames_q) else None
 
     def _drop(self, sel, conn: socket.socket, state: _Connection, exc: OSError) -> None:

@@ -510,6 +510,18 @@ class TestClassify:
         assert err.decode() == (f"warning: truncated frame at byte offset {5 * FRAME_BYTES}: "
                                 f"77 trailing bytes ignored\n")
 
+    def test_raw_file_of_a_dataset_prints_the_dataset_lines(self, workspace, tmp_path,
+                                                            capsys):
+        # a dataset's frames quantized under INPUT_FORMAT are the raw frames
+        # the quantized path reads, so both inputs print the same lines
+        raw = tmp_path / "ds.bin"
+        frames = data.load_dataset(workspace["ds"]).frames
+        raw.write_bytes(quant.quantize_array(frames, INPUT_FORMAT).astype("<i2").tobytes())
+        printed = [run_cli(capsys, "classify", "--model", str(workspace["qmodel"]), flag, str(path))
+                   for flag, path in (("--dataset", workspace["ds"]), ("--raw", raw))]
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 0 and len(printed[0][1].splitlines()) == len(frames)
+
     def test_dataset_labels_match_eval_path(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
                                   "--dataset", str(workspace["ds"]))
@@ -636,21 +648,51 @@ class TestServe:
         finally:
             server.stop()
 
-    def test_short_frame_dropped_cleanly(self, workspace):
+    @staticmethod
+    def mid_frame_warnings(caplog):
+        return [r.getMessage() for r in caplog.records if "mid-frame" in r.getMessage()]
+
+    def test_short_frame_dropped_cleanly(self, workspace, caplog):
         qnet = fileio.load_quantized_model(workspace["qmodel"])
         server = StreamServer(qnet)
         server.start()
         try:
-            with socket.create_connection(server.address) as sock:
-                sock.sendall(b"\x01" * 100)  # partial frame, then close
-            # server must still answer a fresh connection afterwards
-            frame = quant.quantize_frame(
-                np.random.default_rng(4).standard_normal(1800), INPUT_FORMAT
-            )
-            replies = self.send_frames(server.address, frame.astype("<i2").tobytes(), 1)
-            assert len(replies) == 2
+            with caplog.at_level("WARNING", logger="rfmc.stream"):
+                with socket.create_connection(server.address) as sock:
+                    sock.sendall(b"\x01" * 100)  # partial frame, then close
+                # server must still answer a fresh connection afterwards
+                frame = quant.quantize_frame(
+                    np.random.default_rng(4).standard_normal(1800), INPUT_FORMAT
+                )
+                replies = self.send_frames(server.address, frame.astype("<i2").tobytes(), 1)
+                assert len(replies) == 2
+                # the loop may log the close after it has answered
+                deadline = time.monotonic() + SOCKET_TIMEOUT_S
+                while not self.mid_frame_warnings(caplog) and time.monotonic() < deadline:
+                    time.sleep(0.01)
         finally:
             server.stop()
+        # the benchmark counts dropped bytes by parsing this warning
+        [warning] = self.mid_frame_warnings(caplog)
+        assert warning.endswith(" closed mid-frame: 100 residual bytes dropped")
+
+    def test_frame_then_short_tail_gets_one_reply(self, workspace, caplog):
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frame = self.random_frames(1, seed=4)[0]
+        server = StreamServer(qnet)
+        server.start()
+        try:
+            with caplog.at_level("WARNING", logger="rfmc.stream"), \
+                 socket.create_connection(server.address, timeout=SOCKET_TIMEOUT_S) as sock:
+                sock.sendall(frame.astype("<i2").tobytes() + b"\x01" * 100)
+                sock.shutdown(socket.SHUT_WR)
+                # the server closes once it has sent every reply
+                replies = self.read_replies(sock, 2)
+        finally:
+            server.stop()
+        assert replies == bytes((quant.quantized_forward(qnet, frame)[1], PATH_QUANTIZED))
+        [warning] = self.mid_frame_warnings(caplog)
+        assert warning.endswith(" closed mid-frame: 100 residual bytes dropped")
 
     @staticmethod
     def random_frames(n, seed):

@@ -51,15 +51,13 @@ def raw_frames(frames):
 
 def read_in_pieces(parts):
     """The frames and the leftover bytes of a stream that arrives in
-    ``parts``, each part added to the bytes held so far, as a reader does."""
-    frames, held = [], b""
-    for part in parts:
-        frames_q, held = model.split_frames(held + part)
-        frames.append(frames_q)
-    return np.concatenate(frames), held
+    ``parts``, each part fed to one ``model.FrameReader``."""
+    reader = model.FrameReader()
+    frames = [reader.feed(part) for part in parts]
+    return np.concatenate(frames), reader.held
 
 
-class TestSplitFrames:
+class TestFrameReader:
     @staticmethod
     def stream(n_frames, tail_len, seed):
         rng = np.random.default_rng(seed)
@@ -89,10 +87,41 @@ class TestSplitFrames:
 
     def test_frames_view_the_bytes_held(self):
         frames, tail, blob = self.stream(2, 5, seed=9)
-        frames_q, held = model.split_frames(blob)
+        reader = model.FrameReader()
+        assert reader.held == b""
+        frames_q = reader.feed(blob)
         assert frames_q.dtype == np.dtype("<i2") and frames_q.shape == (2, 1800)
         assert np.shares_memory(frames_q, np.frombuffer(blob, np.uint8))
-        assert np.array_equal(frames_q, frames) and held == tail
+        assert np.array_equal(frames_q, frames) and reader.held == tail
+
+    @staticmethod
+    def assert_labels_of_whole_frames(net, frames, cuts):
+        """Assert that the raw frames of ``frames`` plus a 77-byte tail, cut
+        at ``cuts`` and fed to one reader with each piece's frames classified
+        as they complete, as the server and ``classify --raw`` do, give the
+        labels of the frames classified whole."""
+        frames_q = raw_frames(frames)
+        reader = model.FrameReader()
+        labels = [np.argmax(model.raw_logits(net, reader.feed(part)), axis=1)
+                  for part in pieces(frames_q.astype("<i2").tobytes() + b"\x55" * 77, cuts)]
+        whole = np.argmax(model.raw_logits(net, frames_q), axis=1)
+        assert np.concatenate(labels).tolist() == whole.tolist()
+        assert len(reader.held) == 77
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    def test_any_cuts_give_the_labels_of_the_whole_frames(self, small_pipeline, qnet, frames,
+                                                          kind, data):
+        net = small_pipeline["params"] if kind == "float" else qnet
+        n_bytes = len(frames) * FRAME_BYTES + 77
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_bytes), max_size=12), label="cuts"))
+        self.assert_labels_of_whole_frames(net, frames, cuts)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_fixed_cuts_give_the_labels_of_the_whole_frames(self, net, frames, split):
+        cuts = SPLITS[split](len(frames) * FRAME_BYTES + 77)
+        self.assert_labels_of_whole_frames(net, frames, cuts)
 
 
 class TestKind:
