@@ -2,9 +2,15 @@
 
 numpy's bundled OpenBLAS spins a worker for about 125 ms after every
 threaded product, and each product of a batch wakes it again. Threads of
-our own that want both CPUs (``data.build_dataset``'s synthesis pool)
-then compete with that worker. ``one_thread`` sets the library's thread
-count to 1 on entry and puts the previous count back on exit.
+our own that want the CPUs then compete with that worker. ``one_thread``
+sets the library's thread count to 1 on entry and puts the previous count
+back on exit. Two holders use it:
+
+- ``data.build_dataset`` holds it while its synthesis pool runs, so the
+  pool has both CPUs;
+- ``stream.StreamServer``'s loop holds it from start to stop, so a
+  serving process runs every BLAS call at one thread and leaves the other
+  CPU to its clients.
 
 The library is found through ``ctypes`` from numpy's own extension
 module, whose dependencies include the bundled OpenBLAS, and driven
@@ -15,8 +21,9 @@ names) those are absent, and ``one_thread`` does nothing but log one line.
 
 The thread count is a setting of the whole process, not of the calling
 thread: while any ``one_thread`` block runs, every BLAS call in the
-process runs on one thread, so a float ``nn.train`` running concurrently
-in another thread would train on one thread, and round as it does there.
+process runs on one thread. So a process that serves and trains at once
+trains at one thread, and its float products round as they do there; the
+same holds for a ``nn.train`` running beside a synthesis pool.
 Blocks may overlap across threads; a lock and a depth count make the
 first to enter save the count and the last to leave restore it, once.
 """

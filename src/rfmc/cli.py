@@ -258,7 +258,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.address
     print(f"serving {model.path(net)} model on {host}:{port} "
           f"({model.FRAME_BYTES}-byte int16 frames in, 2-byte replies out)")
-    server.serve_forever()
+    try:
+        server.serve_forever()
+    except Exception as exc:  # the loop failed and has closed the listener
+        print(f"error: the server loop failed: {exc!r}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

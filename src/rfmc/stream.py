@@ -22,6 +22,26 @@ so a client that never reads cannot stall the loop or grow the buffer.
 ``rfmc.model`` runs a round's batch in slices of ``model.LOGITS_SLICE``
 frames, so its working memory stays bounded however many connections
 are ready.
+
+The loop holds numpy's BLAS at one thread (``blas.one_thread``) for its
+whole life, whichever model it runs, so every classification runs on the
+loop thread and no OpenBLAS worker spins beside it, taking the CPU that a
+client or front end on the same host needs. A round's batch is small (16
+to 32 frames under ``serve_burst``'s load), and a second BLAS thread made
+its layer-0 product only about 12% faster. Over 20 alternating 45-s
+``serve_burst`` pairs on a 2-CPU host (``BENCH_27.json``), one thread
+lowered ``p99_ms`` in every pair, median 1.35 to 1.17 ms; ``p50_ms`` rose
+8% (0.54 to 0.58 ms) and ``frames_per_s`` moved -1%. The integer engine
+is exact at any thread count, so quantized replies do not depend on it.
+Float replies are argmaxes of float64 logits rounded at one thread; they
+equal the labels ``rfmc classify --raw`` prints at the library's thread
+count, and only an exact float tie (two logits equal to within float64
+rounding) can tell the two apart.
+
+A loop that fails (``MemoryError`` in a batch, say) closes the listener
+and every connection, restores the BLAS thread count and ends. Its
+exception is not lost in the loop thread: ``stop`` raises it, and so does
+``serve_forever``, which waits no longer than the loop runs.
 """
 
 from __future__ import annotations
@@ -33,7 +53,7 @@ import threading
 
 import numpy as np
 
-from . import model
+from . import blas, model
 
 logger = logging.getLogger(__name__)
 
@@ -81,31 +101,40 @@ class StreamServer:
         self._host = host
         self._port = port
         self._listener: socket.socket | None = None
+        self._address: tuple[str, int] | None = None
         self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
+        self._failure: Exception | None = None  # what ended the loop without stop()
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self._listener is not None, "server not started"
-        return self._listener.getsockname()[:2]
+        """Where ``start`` bound the listener; still known once the loop has
+        closed it."""
+        assert self._address is not None, "server not started"
+        return self._address
 
     def start(self) -> None:
         self._listener = socket.create_server((self._host, self._port))
         self._listener.setblocking(False)
+        self._address = self._listener.getsockname()[:2]
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
         logger.info("listening on %s:%d", *self.address)
 
     def _loop(self) -> None:
-        """Owns the listener and every connection; closes them all on exit."""
-        with selectors.DefaultSelector() as sel:
-            sel.register(self._listener, selectors.EVENT_READ)
-            try:
-                while not self._stopping.is_set():
-                    self._round(sel, sel.select(POLL_S))
-            finally:
-                for key in list(sel.get_map().values()):
-                    key.fileobj.close()
+        """Owns the listener and every connection, at one BLAS thread; closes
+        them all on exit and keeps a failure for ``stop`` to raise."""
+        try:
+            with blas.one_thread(), selectors.DefaultSelector() as sel:
+                sel.register(self._listener, selectors.EVENT_READ)
+                try:
+                    while not self._stopping.is_set():
+                        self._round(sel, sel.select(POLL_S))
+                finally:
+                    for key in list(sel.get_map().values()):
+                        key.fileobj.close()
+        except Exception as exc:
+            self._failure = exc
 
     def _round(self, sel: selectors.BaseSelector, ready) -> None:
         """Read every ready connection, classify all their frames in one batch, then write."""
@@ -202,16 +231,21 @@ class StreamServer:
         conn.close()
 
     def stop(self) -> None:
-        """Close the listener and every connection, and join the loop thread."""
+        """Close the listener and every connection, and join the loop thread.
+        If the loop had failed, raise its exception (once)."""
         self._stopping.set()
         if self._thread is not None:
             self._thread.join()
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
 
     def serve_forever(self) -> None:
-        """Block until interrupted or stopped, then stop; call after ``start``."""
+        """Block until interrupted, stopped or the loop fails, then stop; call
+        after ``start``. A failed loop's exception is raised here."""
         try:
-            while not self._stopping.wait(0.5):
-                pass
+            while self._thread.is_alive():
+                self._thread.join(0.5)
         except KeyboardInterrupt:
             pass
         finally:

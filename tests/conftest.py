@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rfmc import data, nn, quant
+from rfmc import blas, data, nn, quant
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,16 @@ def small_pipeline():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's BLAS set to two threads for the test, so a hold at one thread
+    shows; yields the count getter, and puts back the count in force before."""
+    if blas._library is None:
+        pytest.skip("numpy's BLAS exposes no thread control")
+    get, set_ = blas._library
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import logging
 import os
 import queue
 import select
@@ -21,7 +22,8 @@ import pytest
 import model_oracle
 from test_fileio import with_frac, with_input_frac
 from test_model import SPLITS, pieces
-from rfmc import cli, data, fileio, model, nn, quant, stream
+from test_quant import int64_logits
+from rfmc import blas, cli, data, fileio, model, nn, quant, stream
 from rfmc.model import FRAME_BYTES
 from rfmc.quant import INPUT_FORMAT
 from rfmc.seeding import split_seed
@@ -804,14 +806,18 @@ class TestServe:
         assert list(replies[0::2]) == labels * 40
         assert set(replies[1::2]) == {PATH_QUANTIZED}
 
+    @staticmethod
+    def free_port():
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
     def test_serve_forever_serves_the_started_listener(self, workspace):
         # rfmc serve starts the server, prints its address, then serves
         # forever on that same listener, at a fixed port
         qnet = fileio.load_quantized_model(workspace["qmodel"])
         frame = self.random_frames(1, seed=10)[0]
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = self.free_port()
         server = StreamServer(qnet, port=port)
         server.start()
         errors = []
@@ -831,6 +837,135 @@ class TestServe:
             thread.join(timeout=SOCKET_TIMEOUT_S)
         assert not thread.is_alive() and not errors
         assert replies == bytes((quant.quantized_forward(qnet, frame)[1], PATH_QUANTIZED))
+
+    @staticmethod
+    def failing_classifier(frames_q):
+        raise MemoryError("no room for the batch")
+
+    def send_one_frame_unanswered(self, address):
+        """Send one frame; the failing loop closes the connection unanswered."""
+        with socket.create_connection(address, timeout=SOCKET_TIMEOUT_S) as sock:
+            sock.sendall(self.random_frames(1, seed=15)[0].astype("<i2").tobytes())
+            try:
+                assert sock.recv(2) == b""
+            except ConnectionResetError:
+                pass
+
+    def test_serve_forever_raises_what_ended_the_loop(self, workspace, blas_threads):
+        server = StreamServer(fileio.load_quantized_model(workspace["qmodel"]))
+        server._classify = self.failing_classifier
+        server.start()
+        address = server.address
+        errors = []
+
+        def serve():
+            try:
+                server.serve_forever()
+            except MemoryError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        self.send_one_frame_unanswered(address)
+        thread.join(timeout=SOCKET_TIMEOUT_S)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in errors] == ["no room for the batch"]
+        assert blas_threads() == 2
+        with pytest.raises(ConnectionRefusedError):  # the listener is closed
+            socket.create_connection(address, timeout=SOCKET_TIMEOUT_S).close()
+        assert server.address == address
+        server.stop()  # the failure was raised once
+
+    def test_stop_raises_what_ended_the_loop(self, workspace, blas_threads):
+        server = StreamServer(fileio.load_quantized_model(workspace["qmodel"]))
+        server._classify = self.failing_classifier
+        server.start()
+        self.send_one_frame_unanswered(server.address)
+        with pytest.raises(MemoryError, match="^no room for the batch$"):
+            server.stop()
+        assert blas_threads() == 2
+
+    def test_serve_exits_1_with_one_error_line_when_the_loop_fails(self, workspace, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr(stream, "make_raw_classifier",
+                            lambda net: (self.failing_classifier, PATH_QUANTIZED))
+        port = self.free_port()
+        codes = []
+        thread = threading.Thread(daemon=True, target=lambda: codes.append(cli.main(
+            ["serve", "--model", str(workspace["qmodel"]), "--port", str(port)])))
+        thread.start()
+        deadline = time.monotonic() + SOCKET_TIMEOUT_S
+        while True:  # until rfmc serve listens
+            try:
+                self.send_one_frame_unanswered(("127.0.0.1", port))
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        thread.join(timeout=SOCKET_TIMEOUT_S)
+        assert not thread.is_alive()
+        captured = capsys.readouterr()
+        assert codes == [cli.EXIT_RUNTIME]
+        assert captured.out.startswith(f"serving quantized model on 127.0.0.1:{port} ")
+        assert captured.err == ("error: the server loop failed: "
+                                "MemoryError('no room for the batch')\n")
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_replies_run_at_one_blas_thread_and_stop_restores(self, workspace, blas_threads,
+                                                              kind):
+        server = StreamServer(fileio.load_model(workspace[kind]))
+        classify, seen = server._classify, []
+
+        def recording(frames_q):
+            seen.append(blas_threads())
+            return classify(frames_q)
+
+        server._classify = recording
+        server.start()
+        try:
+            blob = b"".join(f.astype("<i2").tobytes() for f in self.random_frames(5, seed=14))
+            replies = self.send_frames(server.address, blob, 5, chunk=1000)
+            assert blas_threads() == 1  # the count is the whole process's
+        finally:
+            server.stop()
+        assert len(replies) == 10
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_serves_where_the_thread_count_cannot_be_set(self, workspace, monkeypatch, caplog):
+        # another BLAS build: the loop's hold is a no-op that says so once
+        monkeypatch.setattr(blas, "_library", None)
+        qnet = fileio.load_quantized_model(workspace["qmodel"])
+        frames = np.stack(self.random_frames(6, seed=16))
+        server = StreamServer(qnet)
+        with caplog.at_level(logging.INFO):
+            server.start()
+            try:
+                replies = self.send_frames(server.address, frames.astype("<i2").tobytes(), 6)
+            finally:
+                server.stop()
+        assert list(replies[0::2]) == np.argmax(int64_logits(qnet, frames), axis=1).tolist()
+        assert [r.levelno for r in caplog.records if r.name == "rfmc.blas"] == [logging.INFO]
+        assert not [r for r in caplog.records
+                    if r.name == "rfmc.stream" and r.levelno >= logging.WARNING]
+
+    def test_float_replies_equal_the_classify_raw_labels(self, workspace, tmp_path, capsys):
+        # replies come from logits rounded at one BLAS thread, classify --raw's
+        # at the library's count; only an exact tie could tell them apart
+        raw = TestClassify.make_raw_file(tmp_path, 300)
+        code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["model"]),
+                                  "--raw", str(raw))
+        assert code == 0
+        labels = [int(line.split("\t")[1]) for line in stdout.splitlines()]
+        assert len(labels) == 300
+        server = StreamServer(fileio.load_float_model(workspace["model"]))
+        server.start()
+        try:
+            replies = self.send_frames(server.address, raw.read_bytes(), 300, chunk=7001)
+        finally:
+            server.stop()
+        assert list(replies[0::2]) == labels
+        assert set(replies[1::2]) == {PATH_FLOAT}
 
     def test_one_thread_whatever_the_connections(self, workspace):
         qnet = fileio.load_quantized_model(workspace["qmodel"])

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rfmc import blas, channel, data, sigsynth
+from rfmc import channel, data, sigsynth
 from rfmc.fileio import ChecksumError, FileFormatError, TruncatedFileError
 from rfmc.seeding import FrameStreams
 from rfmc.sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
@@ -114,19 +114,6 @@ def serial_build(spec: data.DatasetSpec) -> data.Dataset:
     return data.Dataset(np.concatenate(frames).astype(np.float32),
                         np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class),
                         np.concatenate(snr_db).astype(np.float32))
-
-
-@pytest.fixture
-def blas_threads():
-    """numpy's BLAS set to two threads for the test, so a build's hold at
-    one thread shows; the count in force before is put back after."""
-    if blas._library is None:
-        pytest.skip("numpy's BLAS exposes no thread control")
-    get, set_ = blas._library
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
 
 
 class TestBuildInSlices:
