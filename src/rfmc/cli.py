@@ -25,7 +25,7 @@ import numpy as np
 from . import bench, data, evaluation, fileio, model, nn, quant, seeding, sigsynth
 from .fileio import ContainerError
 from .sigsynth import LABEL_NAMES, ModulationLabel, label_name
-from .stream import StreamServer
+from .stream import StreamServer, make_raw_classifier
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -102,8 +102,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"trained {len(train_ds)} frames, {args.epochs} epochs in {elapsed:.1f}s")
     for epoch, loss in enumerate(history, 1):
         print(f"  epoch {epoch:3d} loss {loss:.4f}")
+    classify = make_raw_classifier(params)[0]
     for name, split in (("train", train_ds), ("validation", val_ds)):
-        print(f"{name}_accuracy {np.mean(_labeler(params)(split.frames) == split.labels):.4f}")
+        print(f"{name}_accuracy {np.mean(classify(split.frames_q) == split.labels):.4f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -142,8 +143,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if model.path(net) != "float":
             raise UsageError("--compare needs a float --model")
         qnet = _load_classifier(fileio.load_quantized_model, args.compare)
-        float_report = evaluation.evaluate(_labeler(net), dataset)
-        quant_report = evaluation.evaluate(_labeler(qnet), dataset)
+        float_report = evaluation.evaluate(make_raw_classifier(net)[0], dataset)
+        quant_report = evaluation.evaluate(make_raw_classifier(qnet)[0], dataset)
         print("# float path")
         print(evaluation.format_report(float_report))
         print()
@@ -157,15 +158,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"  error_delta {name:6s} {error_delta[cls]:+.4f}")
         return EXIT_OK
 
-    report = evaluation.evaluate(_labeler(net), dataset)
+    report = evaluation.evaluate(make_raw_classifier(net)[0], dataset)
     print(f"path {model.path(net)}")
     print(evaluation.format_report(report))
     return EXIT_OK
-
-
-def _labeler(net):
-    """Float frames (n, 1800) -> labels (n,), the argmax of ``model.logits``."""
-    return lambda frames: np.argmax(model.logits(net, frames), axis=1)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -205,7 +201,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise UsageError("give exactly one of --dataset or --raw")
     net = _load_classifier(fileio.load_model, args.model)
     if args.dataset is not None:
-        _print_labels(net, model.logits(net, data.load_dataset(args.dataset).frames))
+        _print_labels(net, model.raw_logits(net, data.load_dataset(args.dataset).frames_q))
         return EXIT_OK
 
     if args.raw == "-":
@@ -308,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="print one line per classified frame")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="dataset file input")
-    p.add_argument("--raw", help="raw frames in rfmc.model's wire format, from a file or "
-                   "'-' for stdin, cut by one model.FrameReader; frames are classified "
-                   "as they are read, at most LOGITS_SLICE per batch, and each batch's "
-                   "lines are flushed")
+    p.add_argument("--raw", help="raw frames in rfmc.model's wire format (int16 Q2.13, the "
+                   "frames a dataset holds), from a file or '-' for stdin, cut by one "
+                   "model.FrameReader; frames are classified as they are read, at most "
+                   "LOGITS_SLICE per batch, and each batch's lines are flushed")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("serve", help="TCP stream classifier")

@@ -15,13 +15,17 @@ BLAS held at one thread (``blas.one_thread``): numpy's OpenBLAS otherwise
 spins a worker after every threaded product, and the slices' own synthesis
 products would keep it awake on the CPU the pool needs. Synthesis products
 are exact (``sigsynth._exact_grid``), so the bytes are the same at any
-thread count and in any slice order. Frames are stored as f32; noise-class
-records carry an n/a flag instead of an SNR.
+thread count and in any slice order. Each slice is quantized in its pool
+thread to int16 in Q2.13 (``quant.INPUT_FORMAT``), the raw frames that
+every model reads, so a dataset holds exactly what ``rfmc serve`` and
+``classify --raw`` are sent. Noise-class records carry an n/a flag
+instead of an SNR.
 
-A dataset file is an ``rfmc.fileio`` container with the magic "RFDS";
-after the version its header holds the record count u32 and the frame
-length u16, and its body is the records: label u8, snr flag u8 (0=valid,
-1=n/a), snr_db f32, frame 1800 x f32.
+A dataset file is an ``rfmc.fileio`` container with the magic "RFDS" and
+version 2 (version 1, which stored f32 frames, is refused); after the
+version its header holds the record count u32 and the frame length u16,
+and its body is the records of 3,606 bytes: label u8, snr flag u8
+(0=valid, 1=n/a), snr_db f32, frame 1800 x int16 in Q2.13.
 """
 
 from __future__ import annotations
@@ -36,16 +40,16 @@ import numpy as np
 from . import blas, channel, sigsynth
 from .fileio import (FileFormatError, check_remaining, check_trailer, read_exact, read_preamble,
                      write_file)
-from .quant import LOGITS_SLICE
+from .quant import INPUT_FORMAT, LOGITS_SLICE, quantize_array
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
 
 DATASET_MAGIC = b"RFDS"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 _RECORD_DTYPE = np.dtype(
-    [("label", "u1"), ("snr_flag", "u1"), ("snr_db", "<f4"), ("frame", "<f4", (FRAME_LEN,))]
+    [("label", "u1"), ("snr_flag", "u1"), ("snr_db", "<f4"), ("frame", "<i2", (FRAME_LEN,))]
 )
 
 
@@ -65,29 +69,35 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """Frames as (n, 1800) f32 rows; snr_db is NaN for noise-class records."""
+    """Frames as (n, 1800) int16 rows in Q2.13 (``frames_q``), the input of
+    ``model.raw_logits``; snr_db is NaN for noise-class records."""
 
-    frames: np.ndarray
+    frames_q: np.ndarray
     labels: np.ndarray
     snr_db: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    @property
+    def frames(self) -> np.ndarray:
+        """The real values the frames stand for, ``frames_q / 2**13``, as a
+        new f32 array (exact); training and calibration read these."""
+        frames = self.frames_q.astype(np.float32)
+        frames *= np.float32(2.0**-INPUT_FORMAT)
+        return frames
+
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=NUM_CLASSES)
 
     def validate(self) -> None:
         n = len(self.labels)
-        if self.frames.shape != (n, FRAME_LEN) or self.snr_db.shape != (n,):
+        if self.frames_q.dtype != np.int16:
+            raise ValueError(f"frames must be int16 in Q2.13, got {self.frames_q.dtype}")
+        if self.frames_q.shape != (n, FRAME_LEN) or self.snr_db.shape != (n,):
             raise ValueError("frames/labels/snr_db shapes disagree")
         if n and (self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES):
             raise ValueError("labels must be in 0..6")
-        # min and max propagate NaN, so no (n, 1800) mask is needed;
-        # ``initial`` covers a dataset with no records.
-        lo, hi = self.frames.min(initial=0.0), self.frames.max(initial=0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("frames must be finite")
 
 
 def _cpus() -> int:
@@ -104,13 +114,14 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     Modulated classes cycle their SNR over ``spec.snr_grid`` by frame
     index; the noise class is the bare receiver noise floor. Each class
     is made in slices of ``LOGITS_SLICE`` frames, which a pool of one
-    thread per available CPU synthesizes into their own rows, with BLAS
-    held at one thread (``blas.one_thread``) so the pool has the CPUs.
+    thread per available CPU synthesizes and quantizes to Q2.13 into their
+    own rows, with BLAS held at one thread (``blas.one_thread``) so the
+    pool has the CPUs.
     """
     spec.validate()
     per_class = spec.frames_per_class
     n = NUM_CLASSES * per_class
-    frames = np.empty((n, FRAME_LEN), dtype=np.float32)
+    frames_q = np.empty((n, FRAME_LEN), dtype=np.int16)
     labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class)
     snr_db = np.full(n, np.nan, dtype=np.float32)
     grid = spec.snr_grid
@@ -120,12 +131,13 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         rows = slice(cls * per_class + start, cls * per_class + start + count)
         rngs = FrameStreams(spec.master_seed, cls, count, stream=0, start=start)
         if cls == ModulationLabel.NOISE:
-            frames[rows] = sigsynth.gen_noise_batch(rngs)
+            frames_q[rows] = quantize_array(sigsynth.gen_noise_batch(rngs), INPUT_FORMAT)
             return
         snrs = [grid[idx % len(grid)] for idx in range(start, start + count)]
         clean = sigsynth.modulate_batch(ModulationLabel(cls), rngs)
         noise_rngs = FrameStreams(spec.master_seed, cls, count, stream=1, start=start)
-        frames[rows] = channel.apply_awgn_batch(clean, snrs, noise_rngs)
+        noisy = channel.apply_awgn_batch(clean, snrs, noise_rngs)
+        frames_q[rows] = quantize_array(noisy, INPUT_FORMAT)
         snr_db[rows] = snrs
 
     classes, starts = zip(*[(cls, start) for cls in range(NUM_CLASSES)
@@ -134,7 +146,7 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         # map cancels the slices not yet started when one raises
         for _ in pool.map(fill, classes, starts):
             pass
-    return Dataset(frames, labels, snr_db)
+    return Dataset(frames_q, labels, snr_db)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -160,7 +172,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> tuple[Datas
 
     def take(idx: np.ndarray) -> Dataset:
         # fancy indexing already copies
-        return Dataset(dataset.frames[idx], dataset.labels[idx], dataset.snr_db[idx])
+        return Dataset(dataset.frames_q[idx], dataset.labels[idx], dataset.snr_db[idx])
 
     return take(tr), take(te)
 
@@ -177,7 +189,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             records["label"] = dataset.labels[rows]
             records["snr_flag"] = np.isnan(snr_db)
             records["snr_db"] = snr_db
-            records["frame"] = dataset.frames[rows]
+            records["frame"] = dataset.frames_q[rows]
             yield records
 
     write_file(path, DATASET_MAGIC, "<HIH", (DATASET_VERSION, len(dataset), FRAME_LEN),
@@ -189,14 +201,15 @@ def load_dataset(path: str) -> Dataset:
 
     The records are read ``LOGITS_SLICE`` at a time and copied into arrays
     allocated once, under a running CRC32, so the load never holds the
-    whole body as well as the frames: it peaks near the frames' own size.
+    whole body as well as the frames: it peaks near the int16 frames' own
+    size. A version-1 file (f32 frames) is refused by ``read_preamble``.
     """
     with open(path, "rb") as f:
         count, frame_len = read_preamble(f, DATASET_MAGIC, DATASET_VERSION, "<HIH", "dataset")
         if frame_len != FRAME_LEN:
             raise FileFormatError(f"unexpected frame length {frame_len}")
         check_remaining(f, count * _RECORD_DTYPE.itemsize, "records")
-        frames = np.empty((count, FRAME_LEN), dtype=np.float32)
+        frames_q = np.empty((count, FRAME_LEN), dtype=np.int16)
         labels = np.empty(count, dtype=np.uint8)
         snr_db = np.empty(count, dtype=np.float32)
         crc = 0
@@ -206,12 +219,12 @@ def load_dataset(path: str) -> Dataset:
             crc = zlib.crc32(chunk, crc)
             records = np.frombuffer(chunk, dtype=_RECORD_DTYPE)
             rows = slice(start, start + len(records))
-            frames[rows] = records["frame"]
+            frames_q[rows] = records["frame"]
             labels[rows] = records["label"]
             snr_db[rows] = records["snr_db"]
             snr_db[rows][records["snr_flag"] != 0] = np.nan
         check_trailer(f, crc, "dataset")
 
-    ds = Dataset(frames, labels, snr_db)
+    ds = Dataset(frames_q, labels, snr_db)
     ds.validate()
     return ds

@@ -1,10 +1,10 @@
 """Confusion-matrix evaluation of frame classifiers.
 
-A classifier here is any callable mapping a batch of frames, shape
-(n, 1800), to n label ids. Both inference paths are scored by the same
-code: the CLI passes the argmax of ``rfmc.model.logits``, which reads the
-dataset's float frames (a quantized model quantizes them to Q2.13, the
-input format of every model; raw int16 input is defined in ``rfmc.model``).
+A classifier here is any callable mapping a batch of a dataset's frames,
+its (n, 1800) int16 ``frames_q`` in Q2.13, to n label ids. Both inference
+paths are scored by the same code: the CLI passes the argmax of
+``rfmc.model.raw_logits``, so a model is scored on the integers it is
+served (raw int16 input is defined in ``rfmc.model``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def evaluate(classifier: Callable[[np.ndarray], np.ndarray], dataset: Dataset) -
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    predictions = np.asarray(classifier(dataset.frames), dtype=np.int64)
+    predictions = np.asarray(classifier(dataset.frames_q), dtype=np.int64)
     if predictions.shape != (len(dataset),):
         raise ValueError(
             f"classifier returned shape {predictions.shape} for {len(dataset)} frames"

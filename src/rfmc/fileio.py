@@ -11,7 +11,8 @@ checked against the size of the file before anything of that size is
 allocated or read, so a hostile header ends in a ``FileFormatError``
 (``TruncatedFileError`` is one), never in an allocation. Bytes after the
 trailer are a ``FileFormatError`` too; a body failing its CRC is a
-``ChecksumError``. ``rfmc.data`` gives the dataset's header and body.
+``ChecksumError``. ``rfmc.data`` gives the dataset's header and body
+(version 2: records of int16 Q2.13 frames).
 
 A model file has the magic "RFMC", a header of kind u8 (0=float,
 1=quantized), layer count u8 and per layer out_dim u32, in_dim u32 (the

@@ -1,14 +1,16 @@
-"""The one way to run a model: a batch of frames in, a batch of logits out.
+"""The one way to run a model: a batch of raw frames in, a batch of logits out.
 
 A model is either a float ``nn.NetworkParams`` (the "float" path) or a
 ``quant.QuantizedNetwork`` (the "quantized" path); this is the only module
-outside ``fileio`` that tells the two apart. Eval, classify, bench and the
-stream server all run models through ``logits`` or ``raw_logits``.
+outside ``fileio`` that tells the two apart. Every frame enters a model
+through ``raw_logits``: eval, train's accuracy lines, classify, bench and
+the stream server.
 
 Raw input. A raw frame is 1800 int16 values (interleaved I, Q) in Q2.13
 (``quant.INPUT_FORMAT``), whichever model reads it: the quantized path
 feeds them to its datapath, whose input format is always Q2.13, and the
-float path dequantizes them under the same format. On the wire (``rfmc
+float path dequantizes them under the same format. A dataset holds its
+frames in this form (``data.Dataset.frames_q``). On the wire (``rfmc
 serve``, ``classify --raw``) a frame is ``FRAME_BYTES`` = 3600 bytes of
 little-endian int16, frames back to back, and bytes arrive cut anywhere,
 even inside a sample. Each byte stream has one ``FrameReader``: it turns
@@ -18,8 +20,6 @@ stream ends are no frame.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -65,41 +65,16 @@ def path(model) -> str:
     return "quantized" if isinstance(model, QuantizedNetwork) else "float"
 
 
-def _in_slices(run):
-    """``run(model, frames)`` applied ``LOGITS_SLICE`` frames at a time, its
-    results concatenated."""
-
-    @functools.wraps(run)
-    def sliced(model, frames: np.ndarray) -> np.ndarray:
-        if len(frames) <= LOGITS_SLICE:
-            return run(model, frames)
-        return np.concatenate(
-            [run(model, frames[i : i + LOGITS_SLICE]) for i in range(0, len(frames), LOGITS_SLICE)]
-        )
-
-    return sliced
-
-
-@_in_slices
-def logits(model, frames: np.ndarray) -> np.ndarray:
-    """Float frames (n, 1800) -> logits (n, 7), in slices of ``LOGITS_SLICE`` frames.
-
-    The quantized path quantizes the frames under ``INPUT_FORMAT`` and
-    returns the exact int64 logits of the integer datapath.
-    """
-    if path(model) == "quantized":
-        return quant.quantized_logits(model, quant.quantize_array(frames, INPUT_FORMAT))
-    return nn.forward_batch(model, frames)
-
-
-@_in_slices
 def raw_logits(model, frames_q: np.ndarray) -> np.ndarray:
-    """Raw int16 frames (n, 1800) in ``INPUT_FORMAT`` -> logits (n, 7), in
-    slices of ``LOGITS_SLICE`` frames.
+    """Raw int16 frames (n, 1800) in ``INPUT_FORMAT`` -> logits (n, 7), run
+    ``LOGITS_SLICE`` frames at a time and concatenated.
 
-    The quantized path feeds the integers to the datapath unchanged; it
-    never dequantizes and requantizes them.
+    The quantized path feeds the integers to the datapath unchanged and
+    returns its exact int64 logits; the float path reads them dequantized.
     """
+    if len(frames_q) > LOGITS_SLICE:
+        return np.concatenate([raw_logits(model, frames_q[i : i + LOGITS_SLICE])
+                               for i in range(0, len(frames_q), LOGITS_SLICE)])
     if path(model) == "quantized":
         return quant.quantized_logits(model, frames_q)
     return nn.forward_batch(model, quant.dequantize_array(frames_q, INPUT_FORMAT))

@@ -36,10 +36,9 @@ INT32_MAX = (1 << 31) - 1
 CALIBRATION_PERCENTILE = 99.9
 
 # Frames per slice when a large batch runs through a network: calibration
-# here, ``rfmc.model``'s ``logits`` and ``raw_logits``, ``rfmc classify
-# --raw``, which reads, classifies and prints at most this many frames a
-# turn, and ``rfmc.data.load_dataset``/``save_dataset``, this many records a
-# turn. A slice's float64 working copy takes 14.4 KB per frame: 3.7 MB at
+# here, ``rfmc.model.raw_logits``, ``rfmc classify --raw``, which reads,
+# classifies and prints at most this many frames a turn, and ``rfmc.data``,
+# which synthesizes, saves and loads this many records a turn. A slice's float64 working copy takes 14.4 KB per frame: 3.7 MB at
 # 256 frames against 14.7 MB at 1024, so far less memory is touched. On the
 # benchmark's offline workload (2 vCPUs, OpenBLAS 0.3.31; 10 alternating
 # pairs at 45 s, seeds 1401-1410) 256 against 1024 moved p50_ms from 15.1

@@ -68,7 +68,9 @@ POLL_S = 0.05
 
 
 def make_raw_classifier(net) -> tuple:
-    """(int16 frames (n, 1800) -> labels (n,)) callable plus the reply path byte."""
+    """(int16 frames (n, 1800) -> labels (n,)) callable plus the reply path
+    byte. The callable, the argmax of ``model.raw_logits``, is also how
+    ``rfmc eval`` and ``train`` label a dataset's frames."""
 
     def classify_raw(frames_q: np.ndarray) -> np.ndarray:
         return np.argmax(model.raw_logits(net, frames_q), axis=1)

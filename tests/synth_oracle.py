@@ -11,7 +11,8 @@ rounding. The module also holds the unit-power constellations,
 
 ``seedsequence_dataset`` rebuilds, bit for bit, the datasets the package
 wrote while each frame's generator was keyed by a ``SeedSequence`` hash
-of (master seed, class, index, stream).
+of (master seed, class, index, stream), with the frames quantized to
+Q2.13 as datasets store them now.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from rfmc import data
+from rfmc import data, quant
 from rfmc.sigsynth import (
     FRAME_LEN,
     FRAME_SAMPLES,
@@ -131,9 +132,10 @@ def seedsequence_rng(master_seed: int, class_id: int, index: int, stream: int) -
 
 
 def seedsequence_dataset(spec: data.DatasetSpec) -> data.Dataset:
-    """A dataset exactly as the package built it under ``SeedSequence`` keys."""
+    """A dataset exactly as the package built it under ``SeedSequence`` keys,
+    its frames quantized to Q2.13 as ``data.build_dataset`` quantizes them."""
     n = spec.frames_per_class
-    frames = np.empty((NUM_CLASSES * n, FRAME_LEN), dtype=np.float32)
+    frames = np.empty((NUM_CLASSES * n, FRAME_LEN), dtype=np.float64)
     labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), n)
     snr_db = np.full(NUM_CLASSES * n, np.nan, dtype=np.float32)
     for cls in range(NUM_CLASSES):
@@ -147,4 +149,4 @@ def seedsequence_dataset(spec: data.DatasetSpec) -> data.Dataset:
             clean = modulate(ModulationLabel(cls), rng)
             frames[row] = awgn(clean, snr, seedsequence_rng(spec.master_seed, cls, idx, 1))
             snr_db[row] = snr
-    return data.Dataset(frames, labels, snr_db)
+    return data.Dataset(quant.quantize_array(frames, quant.INPUT_FORMAT), labels, snr_db)

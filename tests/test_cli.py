@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import model_oracle
+from test_data import version_1_file
 from test_fileio import with_frac, with_input_frac
 from test_model import SPLITS, pieces
 from test_quant import int64_logits
@@ -161,7 +162,8 @@ class TestTrain:
         net = fileio.load_model(out)
         splits = data.split(data.load_dataset(workspace["ds"]), 0.8, seed=5)
         for name, split in zip(("train", "validation"), splits):
-            expected = np.mean(np.argmax(model.logits(net, split.frames), axis=1) == split.labels)
+            expected = np.mean(np.argmax(model.raw_logits(net, split.frames_q), axis=1)
+                               == split.labels)
             assert float(printed[f"{name}_accuracy"]) == pytest.approx(expected, abs=5e-5)
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
@@ -226,7 +228,7 @@ class TestEval:
         assert line.split()[1][0] in "+-"
         dataset = data.load_dataset(workspace["ds"])
         expected = [
-            np.mean(np.argmax(model.logits(fileio.load_model(workspace[m]), dataset.frames),
+            np.mean(np.argmax(model.raw_logits(fileio.load_model(workspace[m]), dataset.frames_q),
                               axis=1) == dataset.labels)
             for m in ("model", "qmodel")
         ]
@@ -512,17 +514,18 @@ class TestClassify:
         assert err.decode() == (f"warning: truncated frame at byte offset {5 * FRAME_BYTES}: "
                                 f"77 trailing bytes ignored\n")
 
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
     def test_raw_file_of_a_dataset_prints_the_dataset_lines(self, workspace, tmp_path,
-                                                            capsys):
-        # a dataset's frames quantized under INPUT_FORMAT are the raw frames
-        # the quantized path reads, so both inputs print the same lines
+                                                            capsys, kind):
+        # a dataset holds the raw frames both paths read, so both inputs
+        # print the same lines, the float path's probabilities included
         raw = tmp_path / "ds.bin"
-        frames = data.load_dataset(workspace["ds"]).frames
-        raw.write_bytes(quant.quantize_array(frames, INPUT_FORMAT).astype("<i2").tobytes())
-        printed = [run_cli(capsys, "classify", "--model", str(workspace["qmodel"]), flag, str(path))
+        frames_q = data.load_dataset(workspace["ds"]).frames_q
+        raw.write_bytes(frames_q.astype("<i2").tobytes())
+        printed = [run_cli(capsys, "classify", "--model", str(workspace[kind]), flag, str(path))
                    for flag, path in (("--dataset", workspace["ds"]), ("--raw", raw))]
         assert printed[0] == printed[1]
-        assert printed[0][0] == 0 and len(printed[0][1].splitlines()) == len(frames)
+        assert printed[0][0] == 0 and len(printed[0][1].splitlines()) == len(frames_q)
 
     def test_dataset_labels_match_eval_path(self, workspace, capsys):
         code, stdout, _ = run_cli(capsys, "classify", "--model", str(workspace["qmodel"]),
@@ -530,7 +533,7 @@ class TestClassify:
         assert code == 0
         dataset = data.load_dataset(workspace["ds"])
         qnet = fileio.load_quantized_model(workspace["qmodel"])
-        expected = np.argmax(model.logits(qnet, dataset.frames), axis=1)
+        expected = np.argmax(model.raw_logits(qnet, dataset.frames_q), axis=1)
         for line in stdout.strip().splitlines():
             idx, label_id, name = line.split("\t")[:3]
             assert int(label_id) == expected[int(idx)]
@@ -545,15 +548,15 @@ class TestClassify:
         assert len(probs) == 7
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)
         params = fileio.load_float_model(workspace["model"])
-        frames = data.load_dataset(workspace["ds"]).frames
-        expected = nn.softmax(model.logits(params, frames))
+        frames_q = data.load_dataset(workspace["ds"]).frames_q
+        expected = nn.softmax(model.raw_logits(params, frames_q))
         for line, row in zip(stdout.splitlines(), expected):
             assert line.split("\t")[3] == " ".join(f"{p:.6f}" for p in row)
 
     @pytest.mark.parametrize("kind", ["model", "qmodel"])
     def test_empty_dataset_prints_nothing(self, workspace, tmp_path, capsys, kind):
         empty = tmp_path / "empty.rfds"
-        data.save_dataset(data.Dataset(np.empty((0, 1800), np.float32),
+        data.save_dataset(data.Dataset(np.empty((0, 1800), np.int16),
                                        np.empty(0, np.uint8), np.empty(0, np.float32)), empty)
         code, stdout, err = run_cli(capsys, "classify", "--model", str(workspace[kind]),
                                     "--dataset", str(empty))
@@ -1107,11 +1110,27 @@ class TestExitCodes:
 
     def test_hostile_dataset_header_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "hostile.rfds"
-        bad.write_bytes(b"RFDS" + struct.pack("<HIH", 1, 2**32 - 1, 1800))
+        bad.write_bytes(b"RFDS" + struct.pack("<HIH", data.DATASET_VERSION, 2**32 - 1, 1800))
         code, _, err = run_cli(capsys, "eval", "--model", str(workspace["qmodel"]),
                                "--dataset", str(bad))
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("error: truncated file:")
+
+    @pytest.mark.parametrize("command", ["train", "quantize", "eval", "classify"])
+    def test_version_1_dataset_exits_1(self, workspace, tmp_path, capsys, command):
+        # a well-formed file of f32 frames under a valid CRC: no reader
+        # takes it, and no output file is written
+        v1, out = tmp_path / "v1.rfds", tmp_path / "out.rfmc"
+        v1.write_bytes(version_1_file(7))
+        argv = {
+            "train": ["--dataset", v1, "--out", out],
+            "quantize": ["--model", workspace["model"], "--dataset", v1, "--out", out],
+            "eval": ["--model", workspace["model"], "--dataset", v1],
+            "classify": ["--model", workspace["qmodel"], "--dataset", v1],
+        }[command]
+        assert run_cli(capsys, command, *map(str, argv)) == (
+            1, "", "error: unsupported dataset version 1\n")
+        assert not out.exists()
 
     def test_model_with_a_second_input_format_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "q1_14.rfmc"

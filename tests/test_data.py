@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rfmc import channel, data, sigsynth
+from rfmc import channel, data, quant, sigsynth
 from rfmc.fileio import ChecksumError, FileFormatError, TruncatedFileError
 from rfmc.seeding import FrameStreams
 from rfmc.sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
@@ -27,7 +27,8 @@ def tiny_dataset(tiny_spec):
 
 def datasets_equal(a: data.Dataset, b: data.Dataset) -> bool:
     return (
-        np.array_equal(a.frames, b.frames)
+        a.frames_q.dtype == b.frames_q.dtype == np.int16
+        and np.array_equal(a.frames_q, b.frames_q)
         and np.array_equal(a.labels, b.labels)
         and np.array_equal(a.snr_db, b.snr_db, equal_nan=True)
     )
@@ -50,7 +51,7 @@ class TestBuildDataset:
                 master_seed=tiny_spec.master_seed + 1,
             )
         )
-        assert not np.array_equal(tiny_dataset.frames, other.frames)
+        assert not np.array_equal(tiny_dataset.frames_q, other.frames_q)
 
     def test_snr_cycles_over_grid(self, tiny_dataset):
         bpsk = tiny_dataset.snr_db[tiny_dataset.labels == 1]
@@ -61,14 +62,24 @@ class TestBuildDataset:
         assert not np.any(np.isnan(tiny_dataset.snr_db[tiny_dataset.labels != 0]))
 
     def test_frames_shape_and_dtype(self, tiny_dataset):
+        assert tiny_dataset.frames_q.shape == (70, FRAME_LEN)
+        assert tiny_dataset.frames_q.dtype == np.int16
         assert tiny_dataset.frames.shape == (70, FRAME_LEN)
         assert tiny_dataset.frames.dtype == np.float32
+
+    def test_frames_are_the_exact_values_of_frames_q(self, tiny_dataset):
+        # requantizing them gives back the integers, so a reader of
+        # ``frames`` quantizing under Q2.13 sees what the models read
+        frames = tiny_dataset.frames
+        assert np.array_equal(frames, tiny_dataset.frames_q / 8192)
+        assert np.array_equal(quant.quantize_array(frames, quant.INPUT_FORMAT),
+                              tiny_dataset.frames_q)
 
     def test_each_class_is_a_prefix_of_a_larger_dataset(self, tiny_spec):
         small = data.build_dataset(data.DatasetSpec(4, tiny_spec.snr_grid, master_seed=99))
         large = data.build_dataset(data.DatasetSpec(9, tiny_spec.snr_grid, master_seed=99))
         for cls in range(7):
-            for field in ("frames", "snr_db"):
+            for field in ("frames_q", "snr_db"):
                 head = getattr(large, field)[large.labels == cls][:4]
                 assert np.array_equal(getattr(small, field)[small.labels == cls], head,
                                       equal_nan=True)
@@ -97,7 +108,8 @@ class TestBuildDataset:
 
 
 def serial_build(spec: data.DatasetSpec) -> data.Dataset:
-    """The dataset made one whole class at a time, in class order, on one thread."""
+    """The dataset made one whole class at a time, in class order, on one
+    thread, and quantized to Q2.13 at the end."""
     per_class = spec.frames_per_class
     frames, snr_db = [], []
     for cls in range(NUM_CLASSES):
@@ -111,7 +123,7 @@ def serial_build(spec: data.DatasetSpec) -> data.Dataset:
         frames.append(channel.apply_awgn_batch(
             clean, snrs, FrameStreams(spec.master_seed, cls, per_class, stream=1)))
         snr_db.append(snrs)
-    return data.Dataset(np.concatenate(frames).astype(np.float32),
+    return data.Dataset(quant.quantize_array(np.concatenate(frames), quant.INPUT_FORMAT),
                         np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), per_class),
                         np.concatenate(snr_db).astype(np.float32))
 
@@ -205,20 +217,20 @@ class TestSplit:
 
     def test_union_is_original_multiset(self, tiny_dataset):
         train, test = data.split(tiny_dataset, 0.8, seed=5)
-        combined = np.vstack([train.frames, test.frames])
+        combined = np.vstack([train.frames_q, test.frames_q])
         key = lambda arr: sorted(arr.tobytes() for arr in arr)  # noqa: E731
-        assert key(combined) == key(tiny_dataset.frames)
+        assert key(combined) == key(tiny_dataset.frames_q)
 
     def test_halves_own_their_records(self, tiny_dataset):
         halves = data.split(tiny_dataset, 0.8, seed=5)
         for half in halves:
-            for name in ("frames", "labels", "snr_db"):
+            for name in ("frames_q", "labels", "snr_db"):
                 assert not np.shares_memory(getattr(half, name), getattr(tiny_dataset, name))
 
         def records(ds):
             return sorted(
                 (int(label), np.float32(snr).tobytes(), frame.tobytes())
-                for label, snr, frame in zip(ds.labels, ds.snr_db, ds.frames)
+                for label, snr, frame in zip(ds.labels, ds.snr_db, ds.frames_q)
             )
 
         assert sorted(records(halves[0]) + records(halves[1])) == records(tiny_dataset)
@@ -233,41 +245,6 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 data.split(tiny_dataset, bad, seed=0)
-
-
-class TestFiniteFrames:
-    """Frames holding NaN or an infinity are refused on the way in and out."""
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_save_rejects(self, tiny_dataset, tmp_path, value):
-        frames = tiny_dataset.frames.copy()
-        frames[3, 17] = value
-        bad = data.Dataset(frames, tiny_dataset.labels, tiny_dataset.snr_db)
-        with pytest.raises(ValueError, match="frames must be finite"):
-            data.save_dataset(bad, tmp_path / "bad.rfds")
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_load_rejects_under_a_valid_crc(self, tiny_dataset, tmp_path, value):
-        path = tmp_path / "bad.rfds"
-        data.save_dataset(tiny_dataset, path)
-        blob = path.read_bytes()
-        body = bytearray(blob[12:-4])
-        np.frombuffer(body, data._RECORD_DTYPE)["frame"][3, 17] = value
-        path.write_bytes(blob[:12] + bytes(body) + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(ValueError, match="frames must be finite"):
-            data.load_dataset(path)
-
-    def test_validate_allocates_no_frame_sized_mask(self):
-        n = 2100
-        frames = np.random.default_rng(6).standard_normal((n, FRAME_LEN), dtype=np.float32)
-        ds = data.Dataset(frames, np.zeros(n, np.uint8), np.zeros(n, np.float32))
-        tracemalloc.start()
-        try:
-            ds.validate()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.01 * frames.nbytes, peak / frames.nbytes
 
 
 class TestFileRoundTrip:
@@ -313,7 +290,7 @@ class TestFileRoundTrip:
     def random_dataset(n: int) -> data.Dataset:
         rng = np.random.default_rng(5)
         snr_db = rng.choice([np.nan, 0.0, 6.0], n).astype(np.float32)
-        return data.Dataset(rng.standard_normal((n, FRAME_LEN), dtype=np.float32),
+        return data.Dataset(rng.integers(-32768, 32768, (n, FRAME_LEN), dtype=np.int16),
                             rng.integers(0, 7, n).astype(np.uint8), snr_db)
 
     def test_save_peaks_at_a_slice_of_records(self, tmp_path):
@@ -327,7 +304,7 @@ class TestFileRoundTrip:
         finally:
             tracemalloc.stop()
         assert datasets_equal(ds, data.load_dataset(path))
-        assert peak <= 0.25 * ds.frames.nbytes, peak / ds.frames.nbytes
+        assert peak <= 0.25 * ds.frames_q.nbytes, peak / ds.frames_q.nbytes
 
     def test_load_peaks_near_the_frames_size(self, tmp_path):
         # 2,100 records: eight full LOGITS_SLICE reads and a partial one
@@ -341,10 +318,67 @@ class TestFileRoundTrip:
         finally:
             tracemalloc.stop()
         assert datasets_equal(ds, loaded)
-        assert peak <= 1.5 * loaded.frames.nbytes, peak / loaded.frames.nbytes
+        assert peak <= 1.5 * loaded.frames_q.nbytes, peak / loaded.frames_q.nbytes
 
     def test_header_claiming_more_records_than_the_file_holds(self, tmp_path):
         path = tmp_path / "hostile.rfds"
-        path.write_bytes(b"RFDS" + struct.pack("<HIH", 1, 2**32 - 1, FRAME_LEN) + bytes(64))
-        with pytest.raises(FileFormatError):
+        path.write_bytes(b"RFDS" + struct.pack("<HIH", data.DATASET_VERSION, 2**32 - 1, FRAME_LEN)
+                         + bytes(64))
+        with pytest.raises(TruncatedFileError):
             data.load_dataset(path)
+
+    def test_records_are_3606_bytes(self, tiny_dataset, tmp_path):
+        path = tmp_path / "ds.rfds"
+        data.save_dataset(tiny_dataset, path)
+        assert data._RECORD_DTYPE.itemsize == 3606
+        assert path.stat().st_size == 12 + 3606 * len(tiny_dataset) + 4
+
+    def test_version_1_file_refused(self, tmp_path):
+        path = tmp_path / "v1.rfds"
+        path.write_bytes(version_1_file(2))
+        with pytest.raises(FileFormatError, match="^unsupported dataset version 1$"):
+            data.load_dataset(path)
+
+
+def version_1_file(n: int) -> bytes:
+    """A well-formed version-1 dataset file: ``n`` records of f32 frames
+    (7,206 bytes each) under a valid CRC."""
+    v1_record = np.dtype([("label", "u1"), ("snr_flag", "u1"), ("snr_db", "<f4"),
+                          ("frame", "<f4", (FRAME_LEN,))])
+    records = np.zeros(n, v1_record)
+    records["label"] = np.arange(n) % NUM_CLASSES
+    records["snr_flag"] = records["label"] == 0
+    records["snr_db"] = 6.0
+    records["frame"] = np.random.default_rng(8).standard_normal((n, FRAME_LEN))
+    body = records.tobytes()
+    assert len(body) == 7206 * n
+    return (b"RFDS" + struct.pack("<HIH", 1, n, FRAME_LEN) + body
+            + struct.pack("<I", zlib.crc32(body)))
+
+
+class TestInt16Frames:
+    """Only int16 frames are a dataset: any other array is refused before a
+    record is built, since the int16 frame field would wrap its values."""
+
+    @pytest.mark.parametrize("frames_q", [
+        np.full((2, FRAME_LEN), 0.5, np.float32),
+        np.full((2, FRAME_LEN), 40000, np.int32),  # out of int16's range
+    ], ids=["float32", "int32"])
+    def test_save_rejects(self, tmp_path, frames_q):
+        ds = data.Dataset(frames_q, np.array([0, 3], np.uint8), np.array([np.nan, 6.0], np.float32))
+        path = tmp_path / "bad.rfds"
+        with pytest.raises(ValueError, match=f"frames must be int16 in Q2.13, got {frames_q.dtype}"):
+            data.save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_validate_allocates_no_frame_sized_array(self):
+        n = 2100
+        frames_q = np.random.default_rng(6).integers(-32768, 32768, (n, FRAME_LEN), dtype=np.int16)
+        ds = data.Dataset(frames_q, np.zeros(n, np.uint8), np.zeros(n, np.float32))
+        tracemalloc.start()
+        try:
+            ds.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * frames_q.nbytes, peak / frames_q.nbytes

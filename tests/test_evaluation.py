@@ -13,10 +13,10 @@ from rfmc.sigsynth import NUM_CLASSES
 
 def oracle_classifier(dataset):
     """A perfect classifier: ground truth looked up by frame identity."""
-    index = {dataset.frames[i].tobytes(): int(dataset.labels[i]) for i in range(len(dataset))}
+    index = {dataset.frames_q[i].tobytes(): int(dataset.labels[i]) for i in range(len(dataset))}
 
-    def classify(frames: np.ndarray) -> np.ndarray:
-        return np.array([index[f.tobytes()] for f in np.asarray(frames, dtype=np.float32)])
+    def classify(frames_q: np.ndarray) -> np.ndarray:
+        return np.array([index[f.tobytes()] for f in np.asarray(frames_q, dtype=np.int16)])
 
     return classify
 
@@ -56,7 +56,7 @@ class TestEvaluate:
         assert sum(n for _, n, acc in report.by_snr) == (tiny_dataset.labels != 0).sum()
 
     def test_deterministic_and_order_independent(self, tiny_dataset):
-        classifier = lambda frames: (np.abs(frames[:, 2]) * 7).astype(int) % 7  # noqa: E731
+        classifier = lambda frames: np.abs(frames[:, 2].astype(int)) % 7  # noqa: E731
         a = evaluation.evaluate(classifier, tiny_dataset)
         b = evaluation.evaluate(classifier, tiny_dataset)
         assert np.array_equal(a.confusion, b.confusion)
@@ -64,7 +64,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         empty = data.Dataset(
-            np.empty((0, 1800), np.float32), np.empty(0, np.uint8), np.empty(0, np.float32)
+            np.empty((0, 1800), np.int16), np.empty(0, np.uint8), np.empty(0, np.float32)
         )
         with pytest.raises(ValueError):
             evaluation.evaluate(lambda frames: np.zeros(len(frames)), empty)
@@ -79,13 +79,10 @@ class TestEvaluate:
 class TestCompareReports:
     def test_float_vs_quantized_gap_small(self, small_pipeline):
         test_ds = small_pipeline["test"]
-        float_report = evaluation.evaluate(
-            lambda frames: np.argmax(model.logits(small_pipeline["params"], frames), axis=1),
-            test_ds,
-        )
-        quant_report = evaluation.evaluate(
-            lambda frames: np.argmax(model.logits(small_pipeline["qnet"], frames), axis=1),
-            test_ds,
+        float_report, quant_report = (
+            evaluation.evaluate(
+                lambda frames_q: np.argmax(model.raw_logits(net, frames_q), axis=1), test_ds)
+            for net in (small_pipeline["params"], small_pipeline["qnet"])
         )
         assert abs(quant_report.overall_accuracy - float_report.overall_accuracy) <= 0.015
 

@@ -25,6 +25,8 @@ EXAMPLES = settings(max_examples=25, deadline=None)
 # version, so that random header bytes reach the checks behind them.
 KEPT = 6
 DATASET_HEADER = 12
+# A dataset record: label u8, snr flag u8, snr_db f32, 1800 int16 samples.
+DATASET_RECORD = 6 + 2 * FRAME_LEN
 TINY_DIMS = (6, 4, 3)
 
 
@@ -38,7 +40,7 @@ def originals(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(5)
     dataset = data.Dataset(
-        rng.standard_normal((2, FRAME_LEN)).astype(np.float32),
+        rng.integers(-32768, 32768, (2, FRAME_LEN), dtype=np.int16),
         np.array([0, 3], np.uint8),
         np.array([np.nan, 6.0], np.float32),
     )
@@ -48,6 +50,7 @@ def originals(tmp_path_factory):
     fileio.save_float_model(root / "float.rfmc", params)
     fileio.save_quantized_model(root / "quant.rfmc", qnet)
     n_layers = len(TINY_DIMS) - 1
+    assert (root / "ds.rfds").stat().st_size == DATASET_HEADER + 2 * DATASET_RECORD + 4
     return {
         "dataset": ((root / "ds.rfds").read_bytes(), DATASET_HEADER, data.load_dataset),
         "float": ((root / "float.rfmc").read_bytes(), model_header_len(n_layers), fileio.load_model),

@@ -131,9 +131,10 @@ class TestKind:
 
 
 class TestBatchRows:
-    def test_logits_rows_equal_one_row_calls(self, net, frames):
-        batch = model.logits(net, frames)
-        rows = np.concatenate([model.logits(net, f[np.newaxis]) for f in frames])
+    def test_raw_logits_rows_equal_one_row_calls(self, net, frames):
+        frames_q = raw_frames(frames)
+        batch = model.raw_logits(net, frames_q)
+        rows = np.concatenate([model.raw_logits(net, f[np.newaxis]) for f in frames_q])
         assert batch.shape == (len(frames), 7)
         if model.path(net) == "quantized":
             assert batch.dtype == np.int64
@@ -141,43 +142,21 @@ class TestBatchRows:
         else:
             assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
 
-    def test_raw_logits_rows_equal_one_row_calls(self, net, frames):
-        frames_q = raw_frames(frames)
-        batch = model.raw_logits(net, frames_q)
-        rows = np.concatenate([model.raw_logits(net, f[np.newaxis]) for f in frames_q])
-        assert batch.shape == (len(frames), 7)
-        if model.path(net) == "quantized":
-            assert np.array_equal(batch, rows)
-        else:
-            assert np.array_equal(np.argmax(batch, axis=1), np.argmax(rows, axis=1))
-
     def test_slices_give_the_whole_batch(self, net, frames, monkeypatch):
-        inputs = [(model.logits, frames), (model.raw_logits, raw_frames(frames))]
-        wholes = [run(net, batch) for run, batch in inputs]
+        frames_q = raw_frames(frames)
+        whole = model.raw_logits(net, frames_q)
         monkeypatch.setattr(model, "LOGITS_SLICE", 3)  # 16 frames: 5 slices of 3, then 1
-        for (run, batch), whole in zip(inputs, wholes):
-            sliced = run(net, batch)
-            if model.path(net) == "quantized":
-                assert np.array_equal(sliced, whole)
-            else:
-                assert np.allclose(sliced, whole, rtol=1e-12, atol=1e-12)
+        sliced = model.raw_logits(net, frames_q)
+        if model.path(net) == "quantized":
+            assert np.array_equal(sliced, whole)
+        else:
+            assert np.allclose(sliced, whole, rtol=1e-12, atol=1e-12)
 
     def test_empty_batch(self, net):
         assert model.raw_logits(net, np.zeros((0, 1800), np.int16)).shape == (0, 7)
 
 
 class TestQuantized:
-    def test_logits_quantize_under_the_input_format(self, qnet, frames):
-        expected = [quant.quantized_forward(qnet, quant.quantize_frame(f, INPUT_FORMAT))[0]
-                    for f in frames]
-        assert np.array_equal(model.logits(qnet, frames), np.stack(expected))
-
-    def test_raw_logits_of_q2_13_frames_equal_logits(self, qnet, frames):
-        # one meaning for a raw frame: int16 in Q2.13 is what ``logits``
-        # feeds the datapath
-        raw = model.raw_logits(qnet, raw_frames(frames))
-        assert np.array_equal(raw, model.logits(qnet, frames))
-
     def test_raw_logits_match_per_neuron_oracle(self, qnet, frames):
         frames_q = raw_frames(frames[:4])
         expected = [per_neuron_accumulators(qnet, f)[-1] for f in frames_q]
@@ -196,7 +175,8 @@ class TestFloat:
         expected = nn.forward_batch(params, frames_q / 8192)
         assert np.array_equal(model.raw_logits(params, frames_q), expected)
 
-    def test_logits_match_forward_batch(self, small_pipeline, frames):
-        params = small_pipeline["params"]
-        expected = nn.forward_batch(params, frames)
-        assert np.array_equal(model.logits(params, frames), expected)
+    def test_logits_match_forward_batch(self, small_pipeline):
+        # a dataset's int16 frames read as the real values ``frames`` gives
+        params, test_ds = small_pipeline["params"], small_pipeline["test"]
+        expected = nn.forward_batch(params, test_ds.frames.astype(np.float64))
+        assert np.array_equal(model.raw_logits(params, test_ds.frames_q), expected)

@@ -429,17 +429,17 @@ class TestQuantizedForward:
         qnet = small_pipeline["qnet"]
         rng = np.random.default_rng(31)
         n = 10**4
-        frames = rng.standard_normal((n, 1800)) * np.sqrt(0.5)
-        float_labels = np.argmax(model.logits(params, frames), axis=1)
-        q_labels = np.argmax(model.logits(qnet, frames), axis=1)
+        frames_q = quant.quantize_array(rng.standard_normal((n, 1800)) * np.sqrt(0.5),
+                                        INPUT_FORMAT)
+        float_labels = np.argmax(model.raw_logits(params, frames_q), axis=1)
+        q_labels = np.argmax(model.raw_logits(qnet, frames_q), axis=1)
         assert np.mean(float_labels == q_labels) >= 0.98
 
     def test_audit_passes_on_real_network(self, small_pipeline):
         # every accumulator of every layer, in Python integers, stays
         # inside the 48-bit register, and the engine's logits equal them
         qnet = small_pipeline["qnet"]
-        frame = small_pipeline["test"].frames[0]
-        frame_q = quant.quantize_frame(frame, INPUT_FORMAT)
+        frame_q = small_pipeline["test"].frames_q[0]
         layers = per_neuron_accumulators(qnet, frame_q)
         assert max(abs(a) for accs in layers for a in accs) < ACC_LIMIT
         logits, _ = quant.quantized_forward(qnet, frame_q)
