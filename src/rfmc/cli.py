@@ -93,8 +93,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    dataset = data.load_dataset(args.dataset)
-    train_ds, val_ds = data.split(dataset, TRAIN_FRACTION, seed=args.seed)
+    # the whole dataset is dropped once it is split
+    train_ds, val_ds = data.split(data.load_dataset(args.dataset), TRAIN_FRACTION, seed=args.seed)
     t0 = time.time()
     params, history = nn.train(train_ds.frames, train_ds.labels, args.epochs, args.seed)
     elapsed = time.time() - t0
@@ -118,8 +118,8 @@ def _load_classifier(load, path: str):
 
 def cmd_quantize(args: argparse.Namespace) -> int:
     params = _load_classifier(fileio.load_float_model, args.model)
-    calibration = data.load_dataset(args.dataset)
-    qnet = quant.quantize_network(params, calibration.frames)
+    # the int16 records are dropped once their f32 values are made
+    qnet = quant.quantize_network(params, data.load_dataset(args.dataset).frames)
     fileio.save_quantized_model(args.out, qnet)
     print(f"wrote {args.out}")
     print(f"input_format Q{15 - quant.INPUT_FORMAT}.{quant.INPUT_FORMAT} "

@@ -40,7 +40,7 @@ import numpy as np
 from . import blas, channel, sigsynth
 from .fileio import (FileFormatError, check_remaining, check_trailer, read_exact, read_preamble,
                      write_file)
-from .quant import INPUT_FORMAT, LOGITS_SLICE, quantize_array
+from .quant import INPUT_FORMAT, LOGITS_SLICE, quantize_in_place
 from .seeding import FrameStreams, rng_from_seed
 from .seeding import frame_seed  # noqa: F401  (the one-frame form, traced by perfbench)
 from .sigsynth import FRAME_LEN, NUM_CLASSES, ModulationLabel
@@ -131,13 +131,13 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         rows = slice(cls * per_class + start, cls * per_class + start + count)
         rngs = FrameStreams(spec.master_seed, cls, count, stream=0, start=start)
         if cls == ModulationLabel.NOISE:
-            frames_q[rows] = quantize_array(sigsynth.gen_noise_batch(rngs), INPUT_FORMAT)
+            frames_q[rows] = quantize_in_place(sigsynth.gen_noise_batch(rngs), INPUT_FORMAT)
             return
         snrs = [grid[idx % len(grid)] for idx in range(start, start + count)]
         clean = sigsynth.modulate_batch(ModulationLabel(cls), rngs)
         noise_rngs = FrameStreams(spec.master_seed, cls, count, stream=1, start=start)
         noisy = channel.apply_awgn_batch(clean, snrs, noise_rngs)
-        frames_q[rows] = quantize_array(noisy, INPUT_FORMAT)
+        frames_q[rows] = quantize_in_place(noisy, INPUT_FORMAT)
         snr_db[rows] = snrs
 
     classes, starts = zip(*[(cls, start) for cls in range(NUM_CLASSES)

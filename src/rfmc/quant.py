@@ -38,8 +38,9 @@ CALIBRATION_PERCENTILE = 99.9
 # Frames per slice when a large batch runs through a network: calibration
 # here, ``rfmc.model.raw_logits``, ``rfmc classify --raw``, which reads,
 # classifies and prints at most this many frames a turn, and ``rfmc.data``,
-# which synthesizes, saves and loads this many records a turn. A slice's float64 working copy takes 14.4 KB per frame: 3.7 MB at
-# 256 frames against 14.7 MB at 1024, so far less memory is touched. On the
+# which synthesizes, saves and loads this many records a turn. A slice's
+# float64 working copy takes 14.4 KB per frame: 3.7 MB at 256 frames
+# against 14.7 MB at 1024, so far less memory is touched. On the
 # benchmark's offline workload (2 vCPUs, OpenBLAS 0.3.31; 10 alternating
 # pairs at 45 s, seeds 1401-1410) 256 against 1024 moved p50_ms from 15.1
 # to 10.3 ms and p99_ms from 20.1 to 16.1 ms, better in 10 and 9 pairs of
@@ -56,7 +57,12 @@ INPUT_FORMAT = 13
 
 def quantize_array(x: np.ndarray, frac_bits: int) -> np.ndarray:
     """x * 2**frac_bits, rounded and saturated to int16 by ``kernels.round_saturate``."""
-    x = np.array(x, dtype=np.float64)
+    return quantize_in_place(np.array(x, dtype=np.float64), frac_bits)
+
+
+def quantize_in_place(x: np.ndarray, frac_bits: int) -> np.ndarray:
+    """``quantize_array`` of float64 ``x``, scaling and rounding ``x`` itself
+    on the way, so no copy of it is made."""
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
     x *= 1 << frac_bits

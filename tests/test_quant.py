@@ -360,6 +360,16 @@ class TestQuantizeArray:
         with pytest.raises(ValueError):
             quant.quantize_array(np.array([[0.5, bad]]), 3)
 
+    def test_in_place_gives_the_same_integers(self):
+        x = np.random.default_rng(5).standard_normal((4, 300)) * 3
+        expected = quant.quantize_array(x, 13)
+        assert np.array_equal(quant.quantize_in_place(x, 13), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_place_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            quant.quantize_in_place(np.array([[0.5, bad]]), 3)
+
 
 class TestQuantizedForward:
     def test_all_zero_input_yields_bias_argmax(self):
